@@ -108,25 +108,17 @@ void BM_LatencyRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyRecord);
 
-void BM_TraceComplete(benchmark::State& state) {
-  obs::TraceLog trace(4096);
-  sim::SimTime t = 0;
-  for (auto _ : state) {
-    trace.complete("req.read", obs::kTrackApp, t, t + 1000, 8);
-    t += 1000;
-  }
-  benchmark::DoNotOptimize(trace.size());
-}
-BENCHMARK(BM_TraceComplete);
-
-// One end-to-end SRC run (small scale) so a single `bench_micro` invocation
-// exercises the full stack and — with REPRO_JSON — emits the paper metrics,
-// latency percentiles and per-layer counters machine-readably.
+// One end-to-end SRC run (small scale, on the sharded engine like every
+// paper bench) so a single `bench_micro` invocation exercises the full stack
+// and — with REPRO_JSON — emits the paper metrics, latency percentiles and
+// per-layer counters machine-readably.
 void run_end_to_end() {
   using namespace srcache::bench;
   const double k = std::min(scale(), 0.1);
-  auto rig = make_src_rig(default_src_config(), flash::spec_840pro_128(), k);
-  const auto res = run_group(*rig, workload::TraceGroup::kMixed, k);
+  const auto res = run_group_sharded(default_src_config(),
+                                     flash::spec_840pro_128(),
+                                     workload::TraceGroup::kMixed, k,
+                                     "bench_micro", 42, "src_mixed");
 
   std::printf("\n=== end-to-end SRC sample (mixed group, scale=%.3g) ===\n", k);
   common::Table t({"Metric", "Value"});
@@ -140,13 +132,12 @@ void run_end_to_end() {
   t.add_row({"write p95 us", common::Table::num(res.write_lat.p95 / 1e3, 1)});
   t.add_row({"write p99 us", common::Table::num(res.write_lat.p99 / 1e3, 1)});
   t.print();
-
-  report_run("bench_micro", "src_mixed", res);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  srcache::bench::validate_repro_knobs();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

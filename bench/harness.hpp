@@ -12,17 +12,19 @@
 //   REPRO_JSON=<path>   also write every reported run (paper metrics,
 //                       latency percentiles, metrics-registry delta) as one
 //                       JSON document — see workload/report.hpp.
-//   REPRO_TRACE=<path>  record a Chrome trace-event timeline of the runs
-//                       executed through run_group(SrcRig&, ...).
 //   REPRO_SPAN_SAMPLE=<rate in [0,1]>  head-sample that fraction of measured
 //                       ops into causal op-span trees (obs/span.hpp): the
 //                       sampled ops' full descent — cache lookup, segment
-//                       fill, destage, RAID stripe strategy, per-die NAND
-//                       phases, backend fetch — lands in the REPRO_JSON
-//                       "spans" block and (with REPRO_TRACE) as nested Chrome
-//                       slices with flow arrows. Deterministic per shard
+//                       fill, reclaim, destage, RAID stripe strategy, per-die
+//                       NAND phases, backend fetch, iSCSI commands — plus
+//                       point events (errors, repairs, SSD failures) land in
+//                       the REPRO_JSON "spans" block. Deterministic per shard
 //                       domain: the merged aggregate is bit-identical across
 //                       REPRO_SHARDS/REPRO_THREADS.
+//   REPRO_TRACE=<path>  write engine domain 0's span tracer of each
+//                       run_group_sharded run as a Chrome trace-event
+//                       timeline (nested slices, flow arrows, instants).
+//                       Requires REPRO_SPAN_SAMPLE > 0.
 //   REPRO_SLO_MBPS / REPRO_SLO_READ_P99_MS / REPRO_SLO_WRITE_P99_MS /
 //   REPRO_SLO_MAX_DEGRADED / REPRO_SLO_BUDGET  arm the epoch SLO watchdog
 //                       (obs/slo.hpp) on engine-driven runs: each epoch
@@ -61,7 +63,6 @@
 #include "obs/provenance.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "raid/raid_device.hpp"
 #include "raid/rebuild.hpp"
 #include "src_cache/src_cache.hpp"
@@ -310,6 +311,14 @@ inline void validate_repro_knobs() {
                  "REPRO_JSON=<path> or unset REPRO_TIMESERIES_MS.\n");
     std::exit(2);
   }
+  if (trace != nullptr && repro_span_sample() <= 0.0) {
+    std::fprintf(stderr,
+                 "REPRO_TRACE is set but REPRO_SPAN_SAMPLE is 0/unset: the "
+                 "trace is domain 0's sampled op-span trees, so this run "
+                 "would write an empty timeline. Set REPRO_SPAN_SAMPLE>0 or "
+                 "unset REPRO_TRACE.\n");
+    std::exit(2);
+  }
   if (json != nullptr && trace != nullptr &&
       std::string(json) == std::string(trace)) {
     std::fprintf(stderr,
@@ -391,10 +400,7 @@ inline void validate_repro_knobs() {
   }
 }
 
-// Writes a recorded TraceLog to REPRO_TRACE as Chrome trace-event JSON.
-// The two-argument form merges the event timeline with the sampled op-span
-// trees (obs::combined_chrome_json) into one document; either input may be
-// null.
+// Writes a Chrome trace-event JSON document to REPRO_TRACE.
 inline void write_chrome_trace_json(const std::string& json) {
   std::FILE* f = std::fopen(repro_trace_path(), "w");
   if (f == nullptr ||
@@ -402,15 +408,6 @@ inline void write_chrome_trace_json(const std::string& json) {
     std::fprintf(stderr, "REPRO_TRACE: cannot write %s\n", repro_trace_path());
   }
   if (f != nullptr) std::fclose(f);
-}
-
-inline void write_chrome_trace(obs::TraceLog& log) {
-  write_chrome_trace_json(log.to_chrome_json());
-}
-
-inline void write_chrome_trace(const obs::TraceLog* log,
-                               const obs::SpanTracer* spans) {
-  write_chrome_trace_json(obs::combined_chrome_json(log, spans));
 }
 
 inline workload::ReproReport& json_report() {
@@ -478,10 +475,8 @@ struct SrcRig {
   std::unique_ptr<hdd::IscsiTarget> primary;
   std::unique_ptr<src::SrcCache> cache;
   // Registry over the whole stack ("src.*", "ssd.<i>.*", "hdd.*"); wired by
-  // make_src_rig. Event trace and op-span tracer, allocated on demand by
-  // enable_tracing() / enable_spans().
+  // make_src_rig. Op-span tracer, allocated on demand by enable_spans().
   obs::MetricsRegistry registry;
-  std::unique_ptr<obs::TraceLog> trace;
   std::unique_ptr<obs::SpanTracer> spans;
 
   [[nodiscard]] std::vector<blockdev::BlockDevice*> ssd_ptrs() const {
@@ -489,34 +484,16 @@ struct SrcRig {
   }
 };
 
-// Attaches a TraceLog to every layer of the rig (idempotent). The log drops
-// the newest events once full instead of overwriting old ones; the drop
-// count is exported as the "obs.trace.dropped" gauge so a truncated timeline
-// is visible in the metrics delta, never silent.
-inline obs::TraceLog& enable_tracing(SrcRig& rig, size_t capacity = 1 << 16) {
-  if (!rig.trace) {
-    rig.trace = std::make_unique<obs::TraceLog>(capacity);
-    rig.cache->set_trace(rig.trace.get(), obs::kTrackSrc);
-    rig.primary->set_trace(rig.trace.get(), obs::kTrackPrimary);
-    for (size_t i = 0; i < rig.ssds.size(); ++i)
-      rig.ssds[i]->set_trace(rig.trace.get(),
-                             obs::kTrackSsdBase + static_cast<u32>(i));
-    obs::TraceLog* log = rig.trace.get();
-    obs::Scope(rig.registry, "obs").gauge_fn("trace.dropped", [log] {
-      return static_cast<double>(log->dropped());
-    });
-  }
-  return *rig.trace;
-}
-
 // Attaches an op-span tracer to every layer of the rig (idempotent): the
-// cache contributes src.*/backend.* child spans, each SSD its ssd.*/nand.*
-// descent tagged with its array index. The caller wires the tracer into
-// RunConfig::spans so the closed loop opens the per-op roots.
+// cache contributes src.*/backend.* child spans and events, each SSD its
+// ssd.*/nand.* descent tagged with its array index, the primary its hdd.*
+// commands. The caller wires the tracer into RunConfig::spans so the closed
+// loop opens the per-op roots.
 inline obs::SpanTracer& enable_spans(SrcRig& rig, u64 seed, double rate) {
   if (!rig.spans) {
     rig.spans = std::make_unique<obs::SpanTracer>(seed, rate);
     rig.cache->set_span(rig.spans.get());
+    rig.primary->set_span(rig.spans.get());
     for (size_t i = 0; i < rig.ssds.size(); ++i)
       rig.ssds[i]->set_span(rig.spans.get(), static_cast<u32>(i));
   }
@@ -653,60 +630,6 @@ inline std::unique_ptr<BaselineRig> make_flashcache5_rig(
   return rig;
 }
 
-// Runs one trace group against a cache and reports the paper's metrics.
-// The measurement window starts after an untimed warm-up of twice the
-// cache's data capacity, approximating the paper's long warm runs.
-inline workload::RunResult run_group(cache::CacheDevice* cache,
-                                     std::vector<blockdev::BlockDevice*> ssds,
-                                     workload::TraceGroup group, double k,
-                                     u64 seed = 42) {
-  const Geometry geo = Geometry::at(k);
-  workload::TraceSet set =
-      workload::make_trace_set(group, geo.group_footprint_bytes, seed);
-  workload::Runner runner(cache, std::move(ssds));
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;  // the paper replays each trace with 4 threads
-  rc.iodepth = 4;
-  rc.duration = run_duration();
-  rc.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;  // ~2x data capacity
-  rc.timeseries_interval = repro_timeseries_interval();
-  return runner.run(set.generators(), rc);
-}
-
-// SRC-rig overload: also measures the metrics registry and the write-
-// provenance ledger across the run and, with REPRO_TRACE set, records and
-// writes a Chrome trace of the run (merged with op-span trees when
-// REPRO_SPAN_SAMPLE is on).
-inline workload::RunResult run_group(SrcRig& rig, workload::TraceGroup group,
-                                     double k, u64 seed = 42) {
-  const Geometry geo = Geometry::at(k);
-  workload::TraceSet set =
-      workload::make_trace_set(group, geo.group_footprint_bytes, seed);
-  workload::Runner runner(rig.cache.get(), rig.ssd_ptrs());
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;
-  rc.iodepth = 4;
-  rc.duration = run_duration();
-  rc.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
-  rc.registry = &rig.registry;
-  rc.timeseries_interval = repro_timeseries_interval();
-  rc.provenance = &rig.cache->provenance();
-  if (repro_span_sample() > 0.0) {
-    // Span-tracer seed derived (not equal to) the trace seed, so the
-    // sampling stream never aliases the workload's own RNG streams.
-    rc.spans = &enable_spans(rig, common::SplitMix64(seed).next(),
-                             repro_span_sample());
-  }
-  if (repro_trace_path() != nullptr) {
-    rc.trace = &enable_tracing(rig);
-    rc.trace_track = obs::kTrackApp;
-  }
-  workload::RunResult res = runner.run(set.generators(), rc);
-  if (repro_trace_path() != nullptr)
-    write_chrome_trace(rig.trace.get(), rig.spans.get());
-  return res;
-}
-
 // --- sharded-engine replay (src/engine) ------------------------------------
 
 // The fixed logical partition bench groups are split into. A property of
@@ -805,9 +728,9 @@ inline workload::RunResult run_engine_sharded(
 
   std::printf(
       "[engine] %s: domains=%u shards=%u threads=%u epochs=%u "
-      "wall=%.2fs sim-ops/s=%.0f\n",
+      "setup=%.2fs wall=%.2fs sim-ops/s=%.0f\n",
       name.c_str(), er.domains, er.shards, er.threads, er.epochs,
-      er.wall_seconds, er.sim_ops_per_sec);
+      er.setup_seconds, er.wall_seconds, er.sim_ops_per_sec);
   if (watchdog && er.merged.slo.active) {
     std::printf("[slo] %s: epochs=%u violations=%u burn=%.2f %s\n",
                 name.c_str(), er.merged.slo.epochs, er.merged.slo.violations,
@@ -820,6 +743,7 @@ inline workload::RunResult run_engine_sharded(
     workload::PerfRun pr;
     pr.bench = bench;
     pr.name = name;
+    pr.setup_seconds = er.setup_seconds;
     pr.wall_seconds = er.wall_seconds;
     pr.sim_ops_per_sec = er.sim_ops_per_sec;
     pr.per_shard.reserve(er.per_shard.size());
@@ -831,7 +755,7 @@ inline workload::RunResult run_engine_sharded(
   return std::move(er.merged);
 }
 
-// Sharded equivalent of run_group(SrcRig&, ...): partitions the group into
+// Runs one trace group through the SRC stack: partitions the group into
 // kEngineDomains independent domains — each a full SRC stack at scale
 // k/kEngineDomains replaying its own seed-derived trace set over its own
 // footprint slice — and drives them through engine::ParallelEngine under
@@ -839,7 +763,8 @@ inline workload::RunResult run_engine_sharded(
 // op-span tracing follows REPRO_SPAN_SAMPLE with a per-domain tracer (seeded
 // from the domain seed, merged exactly). Returns the deterministically
 // merged result; wall-clock numbers go to the REPRO_JSON "perf" section and
-// stdout. `name_override` labels the run in reports (default: the group
+// stdout, and with REPRO_TRACE domain 0's span tracer is written as a Chrome
+// trace. `name_override` labels the run in reports (default: the group
 // name), letting one bench report several schemes over the same group.
 // `tier_mb` overrides the compressed-DRAM-tier budget: -1 follows the
 // REPRO_TIER_MB knob, 0 forces the tier off, >0 forces that many MiB summed
@@ -859,7 +784,7 @@ inline workload::RunResult run_group_sharded(
                    : static_cast<u64>(tier_mb)) *
       MiB;
   // Keeps domain 0's rig (the only traced one) alive past the engine run so
-  // the trace can be written afterwards.
+  // its span tracer can be written afterwards.
   std::shared_ptr<EngineDomainRig> traced;
 
   const auto factory = [&overrides, &base_spec, group, dk, seed, want_trace,
@@ -927,16 +852,15 @@ inline workload::RunResult run_group_sharded(
       mgr->set_extent_source(
           [cache](size_t dev) { return cache->rebuild_extents(dev); });
       mgr->set_abort_callback(
-          [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost) {
-            cache->on_rebuild_lost(dev, lost);
-          });
+          [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost,
+                  sim::SimTime t) { cache->on_rebuild_lost(dev, lost, t); });
       mgr->set_provenance(&cache->mutable_provenance());
       mgr->set_fault_ledger(&holder->fault->ledger());
       if (holder->rig->spans) mgr->set_span(holder->rig->spans.get());
       cache->set_rebuild(mgr);
       holder->fault->set_failure_callback(
           [cache, mgr](size_t dev, sim::SimTime t) {
-            cache->on_ssd_failure(dev);
+            cache->on_ssd_failure(dev, t);
             mgr->on_device_failed(dev, t);
           });
       holder->fault->set_replace_callback([mgr](size_t dev, sim::SimTime t) {
@@ -955,13 +879,9 @@ inline workload::RunResult run_group_sharded(
       s.cfg.fault = holder->fault.get();
       s.cfg.rebuild = mgr;
     }
-    if (want_trace && index == 0) {
-      // One domain's worth of timeline is what a Chrome trace can usefully
-      // show; domain 0 is the deterministic choice.
-      s.cfg.trace = &enable_tracing(*holder->rig);
-      s.cfg.trace_track = obs::kTrackApp;
-      traced = holder;
-    }
+    // One domain's worth of timeline is what a Chrome trace can usefully
+    // show; domain 0 is the deterministic choice.
+    if (want_trace && index == 0) traced = holder;
     (void)count;
     s.owned = holder;
     return s;
@@ -971,8 +891,8 @@ inline workload::RunResult run_group_sharded(
       name_override != nullptr ? name_override : workload::to_string(group);
   workload::RunResult res =
       run_engine_sharded(bench, name, kEngineDomains, factory);
-  if (traced)
-    write_chrome_trace(traced->rig->trace.get(), traced->rig->spans.get());
+  if (traced && traced->rig->spans)
+    write_chrome_trace_json(traced->rig->spans->to_chrome_json());
   return res;
 }
 

@@ -114,7 +114,7 @@ int main() {
 
   // --- 3. Whole-SSD failure ---------------------------------------------------
   s.ssds[2]->fail();
-  s.cache->on_ssd_failure(2);
+  s.cache->on_ssd_failure(2, recovered_at + 2 * sim::kSec);
   ok = 0;
   for (u64 i = 0; i < n; ++i)
     if (read_block(*s.cache, i, recovered_at + 2 * sim::kSec) == tags[i]) ++ok;

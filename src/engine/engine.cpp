@@ -343,6 +343,7 @@ EngineResult ParallelEngine::run(u32 num_domains,
       domains[d] = std::move(dom);
     }
   });
+  const auto window0 = std::chrono::steady_clock::now();
 
   const sim::SimTime duration = domains[0]->setup_.cfg.duration;
   if (duration <= 0)
@@ -402,12 +403,14 @@ EngineResult ParallelEngine::run(u32 num_domains,
   out.shards = lanes;
   out.threads = threads;
   out.epochs = epochs;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+  const auto wall1 = std::chrono::steady_clock::now();
+  out.setup_seconds = std::chrono::duration<double>(window0 - wall0).count();
+  out.wall_seconds = std::chrono::duration<double>(wall1 - wall0).count();
+  const double window_seconds =
+      std::chrono::duration<double>(wall1 - window0).count();
   out.sim_ops_per_sec =
-      out.wall_seconds > 0.0
-          ? static_cast<double>(out.merged.ops) / out.wall_seconds
+      window_seconds > 0.0
+          ? static_cast<double>(out.merged.ops) / window_seconds
           : 0.0;
   out.per_shard.resize(lanes);
   for (u32 lane = 0; lane < lanes; ++lane) {

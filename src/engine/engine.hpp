@@ -148,6 +148,10 @@ struct EngineResult {
   u32 epochs = 0;   // barriers crossed
 
   // Wall-clock performance (excluded from the determinism contract).
+  // wall_seconds spans the whole run; setup_seconds its build + warm-up
+  // prefix; sim_ops_per_sec is window ops over the rest (window open to
+  // merge), so set-up cost never dilutes the throughput figure.
+  double setup_seconds = 0.0;
   double wall_seconds = 0.0;
   double sim_ops_per_sec = 0.0;
   std::vector<ShardPerf> per_shard;

@@ -99,8 +99,6 @@ IoResult SimSsd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
   const SimTime nand_done = charge_nand(t_iface, ops);
   const SimTime done = admit_to_buffer(t_iface, blocks_to_bytes(n), nand_done);
 
-  if (trace_ != nullptr && (ops.gc_reads > 0 || ops.erases > 0))
-    trace_->complete("ssd.gc", trace_track_, t_iface, nand_done, ops.erases);
   if (span_ != nullptr && span_->sampling()) {
     const u32 s = span_->begin_span("ssd.write", now, span_dev_);
     if (s != obs::kNoSpan) {
@@ -108,6 +106,9 @@ IoResult SimSsd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
         const u32 ns = span_->begin_span("nand.program", t_iface, span_dev_);
         if (ns != obs::kNoSpan) span_->end_span(ns, nand_done, ops.programs);
       }
+      if (ops.gc_reads > 0 || ops.erases > 0)
+        span_->end_span(span_->begin_span("ssd.gc", t_iface, span_dev_),
+                        nand_done, ops.erases);
       span_->end_span(s, done, n);
     }
   }
@@ -160,7 +161,8 @@ IoResult SimSsd::flush(SimTime now) {
   for (int lane = 0; lane < controller_.units(); ++lane)
     done = std::max(done, controller_.submit(now, service));
   stats_.flushes++;
-  if (trace_ != nullptr) trace_->complete("ssd.flush", trace_track_, now, done);
+  if (span_ != nullptr)
+    span_->end_span(span_->begin_span("ssd.flush", now, span_dev_), done);
   return {done, ErrorCode::kOk};
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace srcache::obs {
 
@@ -85,6 +84,27 @@ void SpanTracer::end_span(u32 id, sim::SimTime end, u64 arg) {
   if (it != stack_.end()) stack_.erase(it);
 }
 
+void SpanTracer::event(const char* name, sim::SimTime ts, u64 arg) {
+  if (records_.size() >= cap_) {
+    ++span_dropped_;
+    return;
+  }
+  SpanRecord r;
+  r.name = name;
+  r.trace_id = kNoSpan;
+  r.start = ts;
+  r.end = ts;
+  r.arg = arg;
+  r.instant = true;
+  if (!stack_.empty()) {
+    const SpanRecord& p = records_[stack_.back()];
+    r.trace_id = p.trace_id;
+    r.parent = stack_.back();
+    r.depth = p.depth + 1;
+  }
+  records_.push_back(r);
+}
+
 SpanOutcome SpanTracer::outcome() const {
   SpanOutcome o;
   o.active = true;
@@ -101,31 +121,38 @@ SpanOutcome SpanTracer::outcome() const {
   return o;
 }
 
-void SpanTracer::emit_chrome_events(JsonWriter& w) const {
+std::string SpanTracer::to_chrome_json() const {
+  JsonWriter w;
+  w.begin_array();
   // Lane layout: each sampled trace renders its whole tree on one lane
   // (nesting by containment); four lanes keep concurrent traces apart.
+  // Root-level events (outside any sampled op) share one lane below them.
   constexpr u32 kSpanLaneBase = 100;
   constexpr u32 kSpanLanes = 4;
+  constexpr u32 kEventLane = kSpanLaneBase - 1;
   const auto lane = [](const SpanRecord& r) {
-    return kSpanLaneBase + (r.trace_id % kSpanLanes);
+    return r.trace_id == kNoSpan ? kEventLane
+                                 : kSpanLaneBase + (r.trace_id % kSpanLanes);
   };
   for (size_t i = 0; i < records_.size(); ++i) {
     const SpanRecord& r = records_[i];
     w.begin_object();
     w.kv("name", r.name);
-    w.kv("ph", "X");
+    w.kv("ph", r.instant ? "i" : "X");
     w.kv("ts", sim::to_us(r.start));
-    w.kv("dur", sim::to_us(r.end > r.start ? r.end - r.start : 0));
+    if (r.instant) w.kv("s", "t");  // instant scope: thread
+    else w.kv("dur", sim::to_us(r.end > r.start ? r.end - r.start : 0));
     w.kv("pid", u64{0});
     w.kv("tid", lane(r));
     w.key("args").begin_object();
-    w.kv("trace", r.trace_id);
+    if (r.trace_id != kNoSpan) w.kv("trace", r.trace_id);
     w.kv("depth", r.depth);
     w.kv("dev", r.dev);
     w.kv("v", r.arg);
     w.end_object();
     w.end_object();
-    if (r.parent == kNoSpan) continue;
+    // Flow arrows bind to slices; an event sits inside its parent already.
+    if (r.parent == kNoSpan || r.instant) continue;
     // Flow arrow parent -> child: same cat+id+name pair links the two.
     const u64 flow_id = (static_cast<u64>(r.trace_id) << 24) | i;
     const SpanRecord& p = records_[r.parent];
@@ -149,21 +176,6 @@ void SpanTracer::emit_chrome_events(JsonWriter& w) const {
     w.kv("tid", lane(r));
     w.end_object();
   }
-}
-
-std::string SpanTracer::to_chrome_json() const {
-  JsonWriter w;
-  w.begin_array();
-  emit_chrome_events(w);
-  w.end_array();
-  return w.take();
-}
-
-std::string combined_chrome_json(const TraceLog* log, const SpanTracer* spans) {
-  JsonWriter w;
-  w.begin_array();
-  if (log != nullptr) log->emit_chrome_events(w);
-  if (spans != nullptr) spans->emit_chrome_events(w);
   w.end_array();
   return w.take();
 }

@@ -1,12 +1,14 @@
-// OpSpan tracing: a per-op causal span tree with deterministic head-based
-// sampling.
+// OpSpan tracing: the simulator's one event stream — per-op causal span
+// trees with deterministic head-based sampling, plus point events.
 //
-// TraceLog records flat events; SpanTracer records *trees*: one root span
-// per sampled application op (ingress), with nested child spans opened by
-// every layer the op touches — cache submit, segment fill, destage, RAID
-// stripe ops, SSD/NAND phases, backend fetch. Components hold a SpanTracer*
-// (nullptr = off) and guard instrumentation with sampling(), so unsampled
-// ops cost one branch per would-be span.
+// SpanTracer records *trees*: one root span per sampled application op
+// (ingress), with nested child spans opened by every layer the op touches —
+// cache submit, segment fill, reclaim, destage, flush, RAID stripe ops,
+// SSD/NAND phases and internal GC, backend fetch and iSCSI commands.
+// Components hold a SpanTracer* (nullptr = off) and guard instrumentation
+// with sampling(), so unsampled ops cost one branch per would-be span.
+// Point events (event()) mark rare occurrences — checksum/media errors,
+// repairs, SSD failures, rebuild losses — whether or not an op is sampled.
 //
 // Determinism contract (PR 6): the sampling decision consumes exactly one
 // RNG draw per *measured* op, in op issue order, from a generator seeded by
@@ -26,9 +28,6 @@
 
 namespace srcache::obs {
 
-class JsonWriter;
-class TraceLog;
-
 inline constexpr u32 kNoSpan = 0xFFFFFFFF;
 
 struct SpanRecord {
@@ -40,6 +39,7 @@ struct SpanRecord {
   sim::SimTime start = 0;
   sim::SimTime end = 0;
   u64 arg = 0;             // free slot: blocks, lba, ...
+  bool instant = false;    // point event (start == end), see event()
 };
 
 // Exact aggregate of one tracer's sampled spans; what lands in REPRO_JSON.
@@ -48,8 +48,8 @@ struct SpanOutcome {
   double rate = 0.0;     // configured sample rate (identical across domains)
   u64 ops_seen = 0;      // measured ops offered to the sampler
   u64 ops_sampled = 0;   // ops whose head draw selected them
-  u64 spans = 0;         // span records retained
-  u64 span_dropped = 0;  // spans lost to the record cap
+  u64 spans = 0;         // span and event records retained
+  u64 span_dropped = 0;  // spans and events lost to the record cap
   struct NameAgg {
     u64 count = 0;
     u64 total_ns = 0;
@@ -79,15 +79,20 @@ class SpanTracer {
   u32 begin_span(const char* name, sim::SimTime start, u32 dev = 0);
   void end_span(u32 id, sim::SimTime end, u64 arg = 0);
 
+  // Point event at `ts`. Inside a sampled op it attaches to the innermost
+  // open span; outside one it is recorded at the root (no parent, trace id
+  // kNoSpan). Never consumes a sampling draw; counts against the cap.
+  void event(const char* name, sim::SimTime ts, u64 arg = 0);
+
   [[nodiscard]] const std::vector<SpanRecord>& records() const {
     return records_;
   }
   [[nodiscard]] double rate() const { return rate_; }
   [[nodiscard]] SpanOutcome outcome() const;
 
-  // Chrome trace events: nested 'X' slices (one lane group per trace id)
-  // plus flow arrows ('s'/'f') tying each parent to its children.
-  void emit_chrome_events(JsonWriter& w) const;
+  // Chrome trace events: nested 'X' slices (one lane group per trace id),
+  // flow arrows ('s'/'f') tying each parent to its child spans, and 'i'
+  // instants for events (root-level ones on a lane of their own).
   [[nodiscard]] std::string to_chrome_json() const;
 
  private:
@@ -101,9 +106,5 @@ class SpanTracer {
   u64 span_dropped_ = 0;
   u32 next_trace_ = 0;
 };
-
-// One Chrome trace document combining a TraceLog's flat events with a
-// SpanTracer's span tree (either may be null).
-std::string combined_chrome_json(const TraceLog* log, const SpanTracer* spans);
 
 }  // namespace srcache::obs

@@ -103,12 +103,13 @@ void RebuildManager::on_device_failed(size_t dev, sim::SimTime now) {
   // whose reconstruction needs `dev` is lost for good.
   for (size_t a = 0; a < devs_.size(); ++a) {
     if (a == dev || !devs_[a].rebuilding) continue;
-    abort_dependent(a, dev);
+    abort_dependent(a, dev, now);
     if (devs_[a].queue.empty()) finish_device(a, now);
   }
 }
 
-void RebuildManager::abort_dependent(size_t dev, size_t lost_dev) {
+void RebuildManager::abort_dependent(size_t dev, size_t lost_dev,
+                                     sim::SimTime now) {
   DeviceState& st = devs_[dev];
   std::vector<RebuildExtent> lost;
   std::deque<RebuildExtent> keep;
@@ -150,7 +151,7 @@ void RebuildManager::abort_dependent(size_t dev, size_t lost_dev) {
   }
   st.queue = std::move(keep);
   st.cursor = 0;
-  if (!lost.empty() && on_abort_) on_abort_(dev, lost);
+  if (!lost.empty() && on_abort_) on_abort_(dev, lost, now);
 }
 
 void RebuildManager::on_device_replaced(size_t dev, sim::SimTime now) {
@@ -316,7 +317,7 @@ u64 RebuildManager::copy_batch(size_t dev, sim::SimTime now, u64 budget) {
     remove(st.pending, b0, ex_end);
     out_.blocks_unrecovered += n;
     if (n > 0) st.lost_any = true;
-    if (!lost.empty() && on_abort_) on_abort_(dev, lost);
+    if (!lost.empty() && on_abort_) on_abort_(dev, lost, now);
     st.cursor = 0;
     st.queue.pop_front();
     return 0;

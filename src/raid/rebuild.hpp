@@ -93,9 +93,10 @@ class RebuildManager final : public blockdev::RebuildMask {
   // SRC-aware source; full_sweep_source the baseline fallback.
   using ExtentSource = std::function<std::vector<RebuildExtent>(size_t dev)>;
   // Invoked when a second failure makes pending extents unreconstructable;
-  // the extents passed are the lost (still-uncopied) ranges.
-  using AbortCallback =
-      std::function<void(size_t dev, const std::vector<RebuildExtent>& lost)>;
+  // the extents passed are the lost (still-uncopied) ranges, `now` the
+  // virtual time the loss was discovered.
+  using AbortCallback = std::function<void(
+      size_t dev, const std::vector<RebuildExtent>& lost, sim::SimTime now)>;
 
   RebuildManager(const RebuildConfig& cfg,
                  std::vector<blockdev::BlockDevice*> ssds);
@@ -161,8 +162,8 @@ class RebuildManager final : public blockdev::RebuildMask {
   u64 copy_batch(size_t dev, sim::SimTime now, u64 budget);
   void finish_device(size_t dev, sim::SimTime now);
   // Drops every pending extent of rebuilding device `dev` that needs the
-  // newly failed device `lost_dev` for reconstruction.
-  void abort_dependent(size_t dev, size_t lost_dev);
+  // device `lost_dev`, newly failed at `now`, for reconstruction.
+  void abort_dependent(size_t dev, size_t lost_dev, sim::SimTime now);
   void maybe_stop_clock(sim::SimTime now);
   [[nodiscard]] std::vector<RebuildExtent> extents_for(size_t dev) const;
 

@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "raid/rebuild.hpp"
 #include "src_cache/segment_meta.hpp"
 #include "src_cache/src_config.hpp"
@@ -125,9 +124,9 @@ class SrcCache final : public cache::CacheDevice {
   [[nodiscard]] u64 free_sg_count() const { return free_sgs_.size(); }
   [[nodiscard]] Residence residence(u64 lba) const;
 
-  // Reacts to a fail-stopped SSD: drops unprotected blocks, keeps
+  // Reacts to an SSD fail-stopped at `now`: drops unprotected blocks, keeps
   // parity-protected ones for on-the-fly reconstruction (§4.3).
-  void on_ssd_failure(size_t ssd);
+  void on_ssd_failure(size_t ssd, SimTime now);
 
   // --- online rebuild (raid/rebuild.hpp) ---
   // Live-segment map export: the extents a replaced SSD must be rebuilt
@@ -143,10 +142,12 @@ class SrcCache final : public cache::CacheDevice {
   // stale pending stripes. Wire on_rebuild_lost to its abort callback and
   // rebuild_extents as its extent source.
   void set_rebuild(raid::RebuildManager* mgr) { rebuild_ = mgr; }
-  // A second failure made `lost` ranges of `dev` unreconstructable: drops
-  // the cached blocks addressed there, counted lost, dirty or clean.
+  // A second failure made `lost` ranges of `dev` unreconstructable at
+  // `now`: drops the cached blocks addressed there, counted lost, dirty or
+  // clean.
   void on_rebuild_lost(size_t dev,
-                       const std::vector<raid::RebuildExtent>& lost);
+                       const std::vector<raid::RebuildExtent>& lost,
+                       SimTime now);
 
   // Proactive integrity scrub: reads and checksum-verifies every live
   // cached block, repairing through parity/mirror/refetch as on the read
@@ -203,15 +204,10 @@ class SrcCache final : public cache::CacheDevice {
   // callbacks read this cache; it must outlive the registry's snapshots.
   void register_metrics(const obs::Scope& scope);
 
-  // Attaches an event trace (nullptr detaches): segment seals, SG reclaims,
-  // flushes, repairs and failure handling are emitted on `track`.
-  void set_trace(obs::TraceLog* log, u32 track) {
-    trace_ = log;
-    trace_track_ = track;
-  }
-
-  // Attaches an op-span tracer (nullptr detaches): segment fills, reclaims,
-  // destages and backend fetches become child spans of the sampled op.
+  // Attaches an op-span tracer (nullptr detaches): segment fills, reclaims
+  // (with an S2D/S2S mode event), destages, flushes and backend fetches
+  // become child spans of the sampled op; read-path errors, repairs and
+  // failure handling are recorded as events.
   void set_span(obs::SpanTracer* tracer) { span_ = tracer; }
 
   // Cumulative write-provenance ledger: every byte this cache wrote to the
@@ -399,8 +395,6 @@ class SrcCache final : public cache::CacheDevice {
   std::vector<TenantStats> tenants_{1};
   bool quotas_enforced_ = false;
 
-  obs::TraceLog* trace_ = nullptr;
-  u32 trace_track_ = 0;
   obs::SpanTracer* span_ = nullptr;
   obs::ProvenanceLedger ledger_;
   // Kept so tenants configured after register_metrics still get per-tenant

@@ -168,12 +168,11 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
   return Status::ok();
 }
 
-void SrcCache::on_ssd_failure(size_t ssd) {
+void SrcCache::on_ssd_failure(size_t ssd, SimTime now) {
   // Fail-stop handling (§4.3): parity-protected blocks stay cached and are
   // reconstructed on access; unprotected ones are dropped — clean blocks
   // refetch on the next miss, dirty ones (RAID-0 only) are lost.
-  if (trace_ != nullptr)
-    trace_->instant("src.ssd_failure", trace_track_, 0, ssd);
+  if (span_ != nullptr) span_->event("src.ssd_failure", now, ssd);
   std::vector<u64> to_drop;
   for (auto& [lba, e] : map_) {
     if (e.buffered()) continue;
@@ -267,7 +266,8 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
 }
 
 void SrcCache::on_rebuild_lost(size_t dev,
-                               const std::vector<raid::RebuildExtent>& lost) {
+                               const std::vector<raid::RebuildExtent>& lost,
+                               SimTime now) {
   const auto in_lost = [&lost](u64 b) {
     for (const raid::RebuildExtent& ex : lost)
       if (b >= ex.block && b < ex.block + ex.count) return true;
@@ -301,8 +301,7 @@ void SrcCache::on_rebuild_lost(size_t dev,
     tenants_[e.tenant].live_blocks--;
     eviction_->on_evict(lba);
   }
-  if (trace_ != nullptr)
-    trace_->instant("src.rebuild_lost", trace_track_, 0, to_drop.size());
+  if (span_ != nullptr) span_->event("src.rebuild_lost", now, to_drop.size());
 }
 
 SrcCache::ScrubReport SrcCache::scrub(SimTime now, SimTime* done) {

@@ -257,6 +257,7 @@ std::string ReproReport::to_json() const {
       w.begin_object();
       w.kv("bench", p.bench);
       w.kv("name", p.name);
+      w.kv("setup_seconds", p.setup_seconds);
       w.kv("wall_seconds", p.wall_seconds);
       w.kv("sim_ops_per_sec", p.sim_ops_per_sec);
       w.key("per_shard").begin_array();

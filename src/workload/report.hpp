@@ -48,8 +48,8 @@
 // and the document gains an optional top-level "perf" section with the
 // wall-clock side of those runs:
 //   "perf": { "shards", "threads",
-//             "runs": [ { "bench", "name", "wall_seconds",
-//                         "sim_ops_per_sec",
+//             "runs": [ { "bench", "name", "setup_seconds",
+//                         "wall_seconds", "sim_ops_per_sec",
 //                         "per_shard": [ { "ops", "wall_seconds" } ] } ] }
 // Everything under "perf" depends on the execution configuration and host
 // load; it is the ONLY part of the document excluded from the engine's
@@ -105,8 +105,9 @@ struct PerfShard {
 struct PerfRun {
   std::string bench;
   std::string name;
+  double setup_seconds = 0.0;    // build + warm-up prefix of wall_seconds
   double wall_seconds = 0.0;
-  double sim_ops_per_sec = 0.0;
+  double sim_ops_per_sec = 0.0;  // window ops / (wall - setup) seconds
   std::vector<PerfShard> per_shard;
 };
 

@@ -18,7 +18,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "raid/rebuild.hpp"
 #include "workload/generators.hpp"
 
@@ -41,10 +40,6 @@ struct RunConfig {
   // after warm-up and at the end; RunResult.metrics holds the delta, so the
   // measurement window excludes cache-fill traffic.
   const obs::MetricsRegistry* registry = nullptr;
-  // Optional: request submit/complete events land here (measurement window
-  // only) as "req.read"/"req.write" complete events on `trace_track`.
-  obs::TraceLog* trace = nullptr;
-  u32 trace_track = obs::kTrackApp;
   // Optional: fixed-interval time-series sampling of the measurement window
   // (0 = off). Derived per-interval series (throughput, hit ratio, per-
   // resource utilization, ...) land in RunResult.timeseries; resource series

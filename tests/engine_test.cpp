@@ -16,7 +16,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "src_test_util.hpp"
 #include "tier/tier_cache.hpp"
 #include "workload/generators.hpp"
@@ -40,10 +39,8 @@ struct TestDomain {
   src::testutil::Rig rig;
   std::vector<std::unique_ptr<workload::Generator>> gens;
   std::vector<workload::Generator*> gen_ptrs;
-  // Observability sidecars (make_obs_domain only): per-domain event trace
-  // and op-span tracer, owned here so hooks and post-run assertions can
-  // reach them.
-  std::unique_ptr<obs::TraceLog> trace;
+  // Observability sidecar (make_obs_domain only): per-domain op-span
+  // tracer, owned here so hooks and post-run assertions can reach it.
   std::unique_ptr<obs::SpanTracer> spans;
   // Compressed DRAM tier (make_tier_domain only), interposed above the rig.
   std::unique_ptr<tier::TierCache> tier;
@@ -89,17 +86,13 @@ DomainSetup make_test_domain(u32 index, u32 num_tenants = 0,
 }
 
 // Like make_test_domain but with the full observability stack wired in:
-// event trace (runner request events + SRC internals), op-span tracer
-// (deterministic per-domain seed off the same derivation the bench harness
-// uses), and the cache's write-provenance ledger. The trace capacity is
-// sized so the identity runs never drop an event — asserted by the test.
+// op-span tracer (deterministic per-domain seed off the same derivation the
+// bench harness uses; SRC child spans and events) and the cache's write-
+// provenance ledger. The default record cap holds every span and event of
+// these runs — asserted by the test.
 DomainSetup make_obs_domain(u32 index) {
   DomainSetup s = make_test_domain(index);
   auto* holder = static_cast<TestDomain*>(s.owned.get());
-  holder->trace = std::make_unique<obs::TraceLog>(1 << 20);
-  holder->rig.cache->set_trace(holder->trace.get(), obs::kTrackSrc);
-  s.cfg.trace = holder->trace.get();
-  s.cfg.trace_track = obs::kTrackApp;
   holder->spans = std::make_unique<obs::SpanTracer>(
       common::SplitMix64(9000 + index).next(), /*rate=*/0.25);
   holder->rig.cache->set_span(holder->spans.get());
@@ -405,17 +398,17 @@ TEST(ParallelEngine, AdaptQuotaDeliveryAtBarrierIsDeterministic) {
 // Span tracing and the provenance ledger must not perturb the simulation:
 // with both enabled in every domain, the fingerprint (which now serializes
 // the spans and provenance blocks too) stays bit-identical across shard and
-// thread counts. The per-domain traces must also retain every event — a
-// dropped event would mean the ring silently truncated the timeline the
-// identity claim is made over.
+// thread counts. The per-domain tracers must also retain every span and
+// event — a drop would mean the record cap silently truncated the timeline
+// the identity claim is made over.
 TEST(ParallelEngine, SpansAndLedgerPreserveIdentityWithZeroTraceDrops) {
   auto run_obs = [](u32 shards, u32 threads) {
     EngineConfig cfg;
     cfg.shards = shards;
     cfg.threads = threads;
     ParallelEngine eng(cfg);
-    // Keep the domain holders alive past run() so the traces and tracers
-    // can be inspected after the engine tears the rigs down.
+    // Keep the domain holders alive past run() so the tracers can be
+    // inspected after the engine tears the rigs down.
     auto holders =
         std::make_shared<std::vector<std::shared_ptr<TestDomain>>>(4);
     const EngineResult r = eng.run(4, [holders](u32 index, u32) {
@@ -426,9 +419,10 @@ TEST(ParallelEngine, SpansAndLedgerPreserveIdentityWithZeroTraceDrops) {
     for (const auto& d : *holders) {
       EXPECT_NE(d, nullptr);
       if (d == nullptr) continue;
-      EXPECT_EQ(d->trace->dropped(), 0u) << "trace ring truncated";
-      EXPECT_GT(d->trace->size(), 0u);
-      EXPECT_EQ(d->trace->total_recorded(), d->trace->size());
+      const obs::SpanOutcome o = d->spans->outcome();
+      EXPECT_EQ(o.span_dropped, 0u) << "span records truncated";
+      EXPECT_GT(d->spans->records().size(), 0u);
+      EXPECT_EQ(o.spans, d->spans->records().size());
     }
     // Both observability channels actually fired.
     EXPECT_FALSE(r.merged.provenance.empty());

@@ -4,6 +4,8 @@
 // reconciling at every step (fault/ledger.hpp).
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "fault/fault_injector.hpp"
 #include "src_test_util.hpp"
 #include "workload/generators.hpp"
@@ -25,8 +27,9 @@ FaultInjector make_injector(Rig& rig, const std::string& plan, u64 seed = 7) {
   for (auto& s : rig.ssds) devs.push_back(s.get());
   inj.attach_ssds(devs);
   inj.attach_primary(rig.primary.get());
-  inj.set_failure_callback(
-      [&rig](size_t ssd, sim::SimTime) { rig.cache->on_ssd_failure(ssd); });
+  inj.set_failure_callback([&rig](size_t ssd, sim::SimTime t) {
+    rig.cache->on_ssd_failure(ssd, t);
+  });
   rig.cache->set_fault_ledger(&inj.ledger());
   return inj;
 }
@@ -233,6 +236,44 @@ TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
   EXPECT_EQ(res.fault.detected, 1u);  // fail-stop is device-reported
   EXPECT_EQ(res.fault.injected, res.fault.detected + res.fault.undetected);
   EXPECT_TRUE(rig.ssds[1]->failed());
+}
+
+TEST(FaultInjection, SsdFailureEventCarriesTheFireTime) {
+  // The fail-stop reaction is stamped with the virtual time the injector
+  // fired at, not 0: the event lands on the timeline where the SSD died.
+  SrcConfig cfg = small_config();
+  cfg.raid = SrcRaidLevel::kRaid5;
+  Rig rig(cfg);
+  FaultInjector inj(make_injector(rig, "at=ops:200 fail dev=ssd1"));
+  obs::SpanTracer spans(/*seed=*/3, /*rate=*/0.1);
+  rig.cache->set_span(&spans);
+  workload::FioGen::Config gc;
+  gc.span_blocks = 4096;
+  gc.req_blocks = 4;
+  gc.read_pct = 30;
+  workload::FioGen gen(gc);
+
+  std::vector<blockdev::BlockDevice*> devs;
+  for (auto& s : rig.ssds) devs.push_back(s.get());
+  workload::Runner runner(rig.cache.get(), devs);
+  workload::RunConfig rc;
+  rc.duration = 60 * sim::kSec;
+  rc.max_ops = 600;
+  rc.fault = &inj;
+  rc.spans = &spans;
+  (void)runner.run({&gen}, rc);
+
+  ASSERT_EQ(inj.events_fired(), 1u);
+  ASSERT_GT(inj.first_fire_time(), 0);
+  u32 found = 0;
+  for (const obs::SpanRecord& r : spans.records()) {
+    if (std::string_view(r.name) != "src.ssd_failure") continue;
+    ++found;
+    EXPECT_TRUE(r.instant);
+    EXPECT_EQ(r.start, inj.first_fire_time());
+    EXPECT_EQ(r.arg, 1u);  // the failed SSD's index
+  }
+  EXPECT_EQ(found, 1u);
 }
 
 }  // namespace

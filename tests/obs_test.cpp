@@ -1,5 +1,5 @@
 // Observability subsystem: registry snapshot/delta, latency summaries,
-// trace ring + Chrome export schema, JSON round-trips of REPRO output.
+// span/event tracer + Chrome export schema, JSON round-trips of REPRO output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "src_cache/src_cache.hpp"
 #include "workload/report.hpp"
 #include "workload/runner.hpp"
@@ -209,50 +208,54 @@ TEST(Latency, NegativeLatencyClampIsCounted) {
   EXPECT_EQ(rec.clamped(), 0u);
 }
 
-// --- TraceLog --------------------------------------------------------------
+// --- Trace API: SpanTracer events, caps and Chrome export ------------------
 
 TEST(Trace, CapacityDropsNewestAndCounts) {
-  obs::TraceLog log(4);
-  for (int i = 0; i < 10; ++i)
-    log.instant("e", obs::kTrackApp, i * 100, static_cast<u64>(i));
-  EXPECT_EQ(log.capacity(), 4u);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.total_recorded(), 10u);
+  obs::SpanTracer tr(/*seed=*/1, /*rate=*/1.0, /*cap=*/4);
+  for (int i = 0; i < 10; ++i) tr.event("e", i * 100, static_cast<u64>(i));
   // Drop-newest: the retained prefix is intact and the overflow is counted
-  // (surfaced as the obs.trace.dropped gauge), never silently overwritten.
-  EXPECT_EQ(log.dropped(), 6u);
-  const auto evs = log.events();
-  ASSERT_EQ(evs.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(evs[i].arg, static_cast<u64>(i));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
+  // (surfaced as spans.dropped in REPRO_JSON), never silently overwritten.
+  const obs::SpanOutcome o = tr.outcome();
+  EXPECT_EQ(o.spans, 4u);
+  EXPECT_EQ(o.span_dropped, 6u);
+  EXPECT_EQ(o.by_name.at("e").count, 4u);
+  EXPECT_EQ(o.by_name.at("e").total_ns, 0u);  // instants have no duration
+  ASSERT_EQ(tr.records().size(), 4u);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(tr.records()[i].arg, static_cast<u64>(i));
 }
 
 TEST(Trace, NegativeDurationClamped) {
-  obs::TraceLog log(8);
-  log.complete("x", 0, 500, 400);
-  EXPECT_EQ(log.events()[0].dur, 0);
+  obs::SpanTracer tr(1, 1.0);
+  ASSERT_TRUE(tr.begin_op("op.write", 100));
+  const u32 child = tr.begin_span("x", 500);
+  tr.end_span(child, 400);  // ends before it starts
+  tr.end_op(600, 1);
+  EXPECT_EQ(tr.records()[1].end, tr.records()[1].start);
+  EXPECT_EQ(tr.outcome().by_name.at("x").total_ns, 0u);
 }
 
 TEST(Trace, ChromeJsonSchema) {
-  obs::TraceLog log(64);
-  log.complete("req.read", obs::kTrackApp, 3000, 5000, 8);
-  log.instant("src.ssd_failure", obs::kTrackSrc, 1000, 2);
-  log.complete("ssd.flush", obs::kTrackSsdBase, 2000, 9000);
-  const auto r = obs::parse_json(log.to_chrome_json());
+  obs::SpanTracer tr(1, 1.0);
+  tr.event("src.ssd_failure", 1000, 2);  // root-level: outside any op
+  ASSERT_TRUE(tr.begin_op("op.read", 3000));
+  const u32 fetch = tr.begin_span("backend.fetch", 3100);
+  tr.event("src.refetch_repair", 3200, 9);
+  tr.end_span(fetch, 4500, 8);
+  tr.end_op(5000, 8);
+  const auto r = obs::parse_json(tr.to_chrome_json());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const obs::JsonValue& v = r.value();
   ASSERT_TRUE(v.is_array());
-  ASSERT_EQ(v.array.size(), 3u);
-  std::map<u32, double> last_ts;
+  std::map<std::string, int> phases;
+  std::map<double, int> flow_ids;  // +1 per 's', -1 per 'f'
   for (const auto& e : v.array) {
     ASSERT_TRUE(e.is_object());
     ASSERT_NE(e.find("name"), nullptr);
     EXPECT_TRUE(e.find("name")->is_string());
     ASSERT_NE(e.find("ph"), nullptr);
     const std::string& ph = e.find("ph")->string;
-    EXPECT_TRUE(ph == "X" || ph == "i");
+    ++phases[ph];
     ASSERT_NE(e.find("ts"), nullptr);
     EXPECT_TRUE(e.find("ts")->is_number());
     ASSERT_NE(e.find("pid"), nullptr);
@@ -260,17 +263,24 @@ TEST(Trace, ChromeJsonSchema) {
     if (ph == "X") {
       EXPECT_NE(e.find("dur"), nullptr);
     }
-    // Chronological per track (and globally: events are sorted by ts).
-    const u32 tid = static_cast<u32>(e.find("tid")->number);
-    auto it = last_ts.find(tid);
-    if (it != last_ts.end()) {
-      EXPECT_GE(e.find("ts")->number, it->second);
+    if (ph == "i") {
+      EXPECT_EQ(e.find("s")->string, "t");
     }
-    last_ts[tid] = e.find("ts")->number;
+    if (ph == "s" || ph == "f")
+      flow_ids[e.find("id")->number] += ph == "s" ? 1 : -1;
   }
-  // ts is microseconds: the instant at 1000 ns sorts first at 1 us.
-  EXPECT_DOUBLE_EQ(v.array[0].find("ts")->number, 1.0);
-  EXPECT_EQ(v.array[0].find("name")->string, "src.ssd_failure");
+  EXPECT_EQ(phases["X"], 2);  // root + fetch
+  EXPECT_EQ(phases["i"], 2);  // both events
+  EXPECT_EQ(phases["s"], 1);  // one parent->child arrow, events get none
+  EXPECT_EQ(phases["f"], 1);
+  for (const auto& [id, balance] : flow_ids) EXPECT_EQ(balance, 0) << id;
+  // ts is microseconds: the root-level instant at 1000 ns comes first at
+  // 1 us, on its own lane, with no trace id.
+  const obs::JsonValue& first = v.array[0];
+  EXPECT_EQ(first.find("name")->string, "src.ssd_failure");
+  EXPECT_DOUBLE_EQ(first.find("ts")->number, 1.0);
+  EXPECT_EQ(first.find("args")->find("trace"), nullptr);
+  EXPECT_NE(first.find("tid")->number, v.array[1].find("tid")->number);
 }
 
 // --- TimeSeriesSampler ------------------------------------------------------
@@ -474,8 +484,8 @@ TEST(TimeSeries, JsonRoundTrip) {
 
 // --- End-to-end: instrumented SRC stack ------------------------------------
 
-// Small SimSsd-backed SRC rig with registry + trace wired, mirroring the
-// bench harness at test scale.
+// Small SimSsd-backed SRC rig with registry + op-span tracer wired into
+// every layer, mirroring the bench harness at test scale.
 struct ObsRig {
   flash::SsdSpec spec;
   src::SrcConfig cfg;
@@ -483,7 +493,7 @@ struct ObsRig {
   std::unique_ptr<hdd::IscsiTarget> primary;
   std::unique_ptr<src::SrcCache> cache;
   obs::MetricsRegistry registry;
-  obs::TraceLog trace{1 << 14};
+  obs::SpanTracer spans{/*seed=*/11, /*rate=*/0.05};
 
   ObsRig() {
     spec.capacity_bytes = 8 * MiB;
@@ -504,7 +514,7 @@ struct ObsRig {
       ssds.back()->precondition();
       ssds.back()->register_metrics(
           obs::Scope(registry, "ssd." + std::to_string(i)));
-      ssds.back()->set_trace(&trace, obs::kTrackSsdBase + i);
+      ssds.back()->set_span(&spans, i);
       devs.push_back(ssds.back().get());
     }
     hdd::IscsiConfig pc;
@@ -513,10 +523,10 @@ struct ObsRig {
     pc.dirty_limit_bytes = 4 * MiB;
     primary = std::make_unique<hdd::IscsiTarget>(pc);
     primary->register_metrics(obs::Scope(registry, "hdd"));
-    primary->set_trace(&trace, obs::kTrackPrimary);
+    primary->set_span(&spans);
     cache = std::make_unique<src::SrcCache>(cfg, devs, primary.get());
     cache->register_metrics(obs::Scope(registry, "src"));
-    cache->set_trace(&trace, obs::kTrackSrc);
+    cache->set_span(&spans);
     cache->format(0);
   }
 
@@ -536,7 +546,7 @@ struct ObsRig {
     rc.duration = 2 * sim::kSec;
     rc.warmup_bytes = 8 * MiB;
     rc.registry = &registry;
-    rc.trace = &trace;
+    rc.spans = &spans;
     rc.timeseries_interval = 100 * sim::kMs;  // 20 intervals per run
     return runner.run({&gen}, rc);
   }
@@ -602,12 +612,15 @@ TEST(ObsEndToEnd, RunnerFillsLatencyAndMetrics) {
     max_nand = std::max(max_nand, sample.series.at("util.ssd.0.nand"));
   EXPECT_GT(max_nand, 0.0);
 
-  // The trace saw application requests and cache internals.
+  // The span trees saw application requests and every layer beneath.
   std::set<std::string> names;
-  for (const auto& e : rig.trace.events()) names.insert(e.name);
-  EXPECT_TRUE(names.count("req.read"));
-  EXPECT_TRUE(names.count("req.write"));
-  EXPECT_TRUE(names.count("src.segment_seal"));
+  for (const auto& e : rig.spans.records()) names.insert(e.name);
+  EXPECT_TRUE(names.count("op.read"));
+  EXPECT_TRUE(names.count("op.write"));
+  EXPECT_TRUE(names.count("src.segment_fill"));
+  EXPECT_TRUE(names.count("ssd.write"));
+  EXPECT_TRUE(names.count("hdd.read_disk") || names.count("hdd.read_ram"));
+  EXPECT_EQ(res.spans.span_dropped, 0u);
 }
 
 TEST(ObsEndToEnd, ReportJsonRoundTrip) {
@@ -836,16 +849,86 @@ TEST(Span, OutcomeMergeAddIsExact) {
   EXPECT_EQ(m.by_name.at("op.write").total_ns, 10u);
 }
 
-TEST(Span, CombinedChromeJsonParsesWithFlows) {
-  obs::TraceLog log(16);
-  log.instant("src.seal", obs::kTrackSrc, 5, 1);
+TEST(Span, EventAttachesToInnermostOpenSpan) {
   obs::SpanTracer tr(1, 1.0);
+  ASSERT_TRUE(tr.begin_op("op.read", 0));
+  const u32 fetch = tr.begin_span("backend.fetch", 10);
+  const u32 hdd = tr.begin_span("hdd.read_disk", 20);
+  tr.end_span(hdd, 40, 1);
+  tr.event("src.refetch_repair", 50, 77);  // hdd closed: fetch is innermost
+  tr.end_span(fetch, 60, 1);
+  tr.event("src.parity_repair", 70, 78);  // only the root is open
+  tr.end_op(100, 1);
+
+  const auto& recs = tr.records();
+  ASSERT_EQ(recs.size(), 5u);
+  const obs::SpanRecord& refetch = recs[3];
+  EXPECT_TRUE(refetch.instant);
+  EXPECT_EQ(refetch.parent, fetch);
+  EXPECT_EQ(refetch.depth, recs[fetch].depth + 1);
+  EXPECT_EQ(refetch.trace_id, recs[0].trace_id);
+  EXPECT_EQ(refetch.start, 50);
+  EXPECT_EQ(refetch.end, 50);
+  EXPECT_EQ(refetch.arg, 77u);
+  EXPECT_EQ(recs[4].parent, 0u);
+  EXPECT_EQ(recs[4].depth, 1u);
+  // end_op closes spans, never events: their end stays at their timestamp.
+  EXPECT_EQ(recs[4].end, 70);
+  EXPECT_FALSE(tr.sampling());
+}
+
+TEST(Span, EventOutsideOpIsRecordedAtRoot) {
+  obs::SpanTracer tr(1, 0.0);  // nothing is ever sampled
+  tr.event("src.ssd_failure", 500, 2);
+  EXPECT_FALSE(tr.begin_op("op.write", 600));
+  tr.event("src.media_error", 650, 9);  // inside an unsampled op
+  tr.end_op(700, 1);
+  const auto& recs = tr.records();
+  ASSERT_EQ(recs.size(), 2u);
+  for (const obs::SpanRecord& r : recs) {
+    EXPECT_TRUE(r.instant);
+    EXPECT_EQ(r.parent, obs::kNoSpan);
+    EXPECT_EQ(r.depth, 0u);
+    EXPECT_EQ(r.trace_id, obs::kNoSpan);
+  }
+  const obs::SpanOutcome o = tr.outcome();
+  EXPECT_EQ(o.spans, 2u);
+  EXPECT_EQ(o.ops_sampled, 0u);
+  EXPECT_EQ(o.by_name.at("src.ssd_failure").count, 1u);
+}
+
+TEST(Span, EventsNeverConsumeASamplingDraw) {
+  // Two tracers on one seed see the same op stream; one also records an
+  // event before every op. The sampled set must not move.
+  obs::SpanTracer plain(42, 0.3);
+  obs::SpanTracer noisy(42, 0.3);
+  std::vector<int> picked_plain, picked_noisy;
+  for (int i = 0; i < 300; ++i) {
+    noisy.event("src.checksum_error", i * 10, static_cast<u64>(i));
+    if (plain.begin_op("op.read", i * 10)) picked_plain.push_back(i);
+    plain.end_op(i * 10 + 5, 1);
+    if (noisy.begin_op("op.read", i * 10)) {
+      picked_noisy.push_back(i);
+      noisy.event("src.parity_repair", i * 10 + 1, 0);
+    }
+    noisy.end_op(i * 10 + 5, 1);
+  }
+  EXPECT_FALSE(picked_plain.empty());
+  EXPECT_EQ(picked_plain, picked_noisy);
+  EXPECT_EQ(plain.outcome().ops_sampled, noisy.outcome().ops_sampled);
+  EXPECT_EQ(plain.outcome().ops_seen, noisy.outcome().ops_seen);
+}
+
+TEST(Span, CombinedChromeJsonParsesWithFlows) {
+  // Spans and events share one tracer and one Chrome document.
+  obs::SpanTracer tr(1, 1.0);
+  tr.event("src.ssd_failure", 5, 1);
   ASSERT_TRUE(tr.begin_op("op.write", 0));
   const u32 child = tr.begin_span("ssd.write", 10, 1);
   tr.end_span(child, 90, 8);
   tr.end_op(100, 8);
 
-  const auto r = obs::parse_json(obs::combined_chrome_json(&log, &tr));
+  const auto r = obs::parse_json(tr.to_chrome_json());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const obs::JsonValue& v = r.value();
   ASSERT_TRUE(v.is_array());
@@ -934,19 +1017,26 @@ TEST(Slo, DegradedDomainsAndBreach) {
 TEST(ObsEndToEnd, ChromeExportOfRealRunParses) {
   ObsRig rig;
   (void)rig.run();
-  ASSERT_GT(rig.trace.size(), 0u);
-  const auto r = obs::parse_json(rig.trace.to_chrome_json());
+  const auto& recs = rig.spans.records();
+  ASSERT_GT(recs.size(), 0u);
+  const auto r = obs::parse_json(rig.spans.to_chrome_json());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const obs::JsonValue& v = r.value();
   ASSERT_TRUE(v.is_array());
-  EXPECT_EQ(v.array.size(), rig.trace.size());
-  double prev = -1.0;
+  // One slice or instant per record, plus one flow pair per child span.
+  size_t children = 0;
+  for (const obs::SpanRecord& rec : recs)
+    if (rec.parent != obs::kNoSpan && !rec.instant) ++children;
+  EXPECT_EQ(v.array.size(), recs.size() + 2 * children);
+  size_t slices = 0;
   for (const auto& e : v.array) {
     ASSERT_TRUE(e.is_object());
     ASSERT_NE(e.find("ts"), nullptr);
-    EXPECT_GE(e.find("ts")->number, prev);
-    prev = e.find("ts")->number;
+    EXPECT_GE(e.find("ts")->number, 0.0);
+    const std::string& ph = e.find("ph")->string;
+    if (ph == "X" || ph == "i") ++slices;
   }
+  EXPECT_EQ(slices, recs.size());
 }
 
 }  // namespace

@@ -502,9 +502,11 @@ TEST(Rebuild, SecondFailureAbortsAndMasksDead) {
   mgr.set_extent_source(full_sweep_source(RaidLevel::kRaid5, kDevBlocks));
   u64 lost_blocks = 0;
   size_t lost_dev = SIZE_MAX;
+  sim::SimTime lost_at = -1;
   mgr.set_abort_callback(
-      [&](size_t dev, const std::vector<RebuildExtent>& lost) {
+      [&](size_t dev, const std::vector<RebuildExtent>& lost, sim::SimTime t) {
         lost_dev = dev;
+        lost_at = t;
         for (const auto& ex : lost) lost_blocks += ex.count;
       });
 
@@ -521,6 +523,7 @@ TEST(Rebuild, SecondFailureAbortsAndMasksDead) {
   mgr.on_device_failed(3, sim::kSec);
 
   EXPECT_EQ(lost_dev, 1u);
+  EXPECT_EQ(lost_at, sim::kSec);  // stamped with the second failure's time
   EXPECT_EQ(lost_blocks, kDevBlocks - copied);
   const RebuildOutcome o = mgr.outcome();
   EXPECT_EQ(o.rebuilds_aborted, 1u);

@@ -105,7 +105,7 @@ TEST(SrcFailure, SsdFailStopParityReconstruction) {
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   rig.ssds[2]->fail();
-  rig.cache->on_ssd_failure(2);
+  rig.cache->on_ssd_failure(2, 0);
   // All dirty data still readable (reconstructed on the fly, §4.3).
   for (u64 i = 0; i < tags.size(); ++i) {
     u64 out = 0;
@@ -123,7 +123,7 @@ TEST(SrcFailure, NpcCleanLostOnSsdFailure) {
   sim::SimTime t = 0;
   for (u64 i = 0; i < clean_cap; ++i) t = rig.read(t, 100000 + i);
   rig.ssds[1]->fail();
-  rig.cache->on_ssd_failure(1);
+  rig.cache->on_ssd_failure(1, t);
   // A quarter of the clean blocks lived on the failed SSD and are dropped.
   EXPECT_GT(rig.cache->extra().lost_clean_blocks, 0u);
   EXPECT_EQ(rig.cache->extra().lost_dirty_blocks, 0u);
@@ -144,7 +144,7 @@ TEST(SrcFailure, PcCleanSurvivesSsdFailure) {
   sim::SimTime t = 0;
   for (u64 i = 0; i < clean_cap; ++i) t = rig.read(t, 100000 + i);
   rig.ssds[1]->fail();
-  rig.cache->on_ssd_failure(1);
+  rig.cache->on_ssd_failure(1, t);
   EXPECT_EQ(rig.cache->extra().lost_clean_blocks, 0u);
   // Clean hits keep working without touching the primary store.
   const auto disk_reads = rig.primary->stats().read_blocks;
@@ -160,7 +160,7 @@ TEST(SrcFailure, Raid0FailureLosesDirtyData) {
   Rig rig(cfg);
   seal_one_dirty(rig);
   rig.ssds[0]->fail();
-  rig.cache->on_ssd_failure(0);
+  rig.cache->on_ssd_failure(0, 0);
   EXPECT_GT(rig.cache->extra().lost_dirty_blocks, 0u);
   EXPECT_TRUE(rig.cache->verify_consistency().is_ok());
 }
@@ -176,7 +176,7 @@ TEST(SrcFailure, Raid1MirrorServesAfterFailure) {
     rig.write(0, i, 1, &tags[i]);
   }
   rig.ssds[0]->fail();
-  rig.cache->on_ssd_failure(0);
+  rig.cache->on_ssd_failure(0, 0);
   for (u64 i = 0; i < cap; ++i) {
     u64 out = 0;
     rig.read(1000, i, 1, &out);
@@ -191,7 +191,7 @@ TEST(SrcFailure, GcContinuesDegraded) {
   Rig rig(cfg);
   seal_one_dirty(rig);
   rig.ssds[3]->fail();
-  rig.cache->on_ssd_failure(3);
+  rig.cache->on_ssd_failure(3, 0);
   // Keep writing until reclaims happen; destages must reconstruct data
   // from the surviving SSDs.
   const u64 per_sg = cfg.segments_per_sg() * cfg.segment_data_slots(true);

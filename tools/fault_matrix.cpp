@@ -137,9 +137,8 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
     mgr->set_extent_source(
         [cache](size_t dev) { return cache->rebuild_extents(dev); });
     mgr->set_abort_callback(
-        [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost) {
-          cache->on_rebuild_lost(dev, lost);
-        });
+        [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost,
+                sim::SimTime t) { cache->on_rebuild_lost(dev, lost, t); });
     mgr->set_provenance(&cache->mutable_provenance());
     mgr->set_fault_ledger(&inj.ledger());
     cache->set_rebuild(mgr.get());
@@ -149,7 +148,7 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
     inj.set_spare_callback([&mgr](u32 n) { mgr->add_spares(n); });
   }
   inj.set_failure_callback([&rig, &mgr](size_t ssd, sim::SimTime t) {
-    rig.cache->on_ssd_failure(ssd);
+    rig.cache->on_ssd_failure(ssd, t);
     if (mgr) mgr->on_device_failed(ssd, t);
   });
 

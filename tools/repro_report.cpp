@@ -287,7 +287,8 @@ void print_perf(const Doc& doc) {
               perf->number_or("shards", 0.0), perf->number_or("threads", 0.0));
   const JsonValue* runs = perf->find("runs");
   if (runs == nullptr || !runs->is_array()) return;
-  Table t({"bench", "run", "wall s", "sim-ops/s", "per-shard wall s"});
+  Table t({"bench", "run", "setup s", "wall s", "sim-ops/s",
+           "per-shard wall s"});
   for (const JsonValue& r : runs->array) {
     std::string lanes;
     if (const JsonValue* ps = r.find("per_shard");
@@ -301,6 +302,7 @@ void print_perf(const Doc& doc) {
     const JsonValue* name = r.find("name");
     t.add_row({bench != nullptr ? bench->string : "?",
                name != nullptr ? name->string : "?",
+               Table::num(r.number_or("setup_seconds", 0.0), 2),
                Table::num(r.number_or("wall_seconds", 0.0), 2),
                Table::num(r.number_or("sim_ops_per_sec", 0.0), 0), lanes});
   }
