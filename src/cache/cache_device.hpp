@@ -52,7 +52,8 @@ struct CacheStats {
   [[nodiscard]] double hit_ratio() const {
     const u64 hits = read_hit_blocks + write_hit_blocks;
     const u64 total = app_read_blocks + app_write_blocks;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits) / static_cast<double>(total);
   }
   [[nodiscard]] double read_hit_ratio() const {
     return app_read_blocks == 0
@@ -60,7 +61,11 @@ struct CacheStats {
                : static_cast<double>(read_hit_blocks) /
                      static_cast<double>(app_read_blocks);
   }
-  [[nodiscard]] u64 app_blocks() const { return app_read_blocks + app_write_blocks; }
+  [[nodiscard]] u64 app_blocks() const {
+    return app_read_blocks + app_write_blocks;
+  }
+
+  bool operator==(const CacheStats&) const = default;
 };
 
 class CacheDevice {

@@ -9,8 +9,15 @@
 
 namespace srcache::common {
 
-// One-shot CRC-32C over a byte span. seed allows chaining.
+// One-shot CRC-32C over a byte span. seed allows chaining. Uses the SSE4.2
+// CRC32 instruction when the CPU has it (chosen once, at first call), else
+// the portable table loop; both give the same value.
 u32 crc32c(std::span<const u8> data, u32 seed = 0);
+
+namespace detail {
+// The bytewise table implementation (fallback, and the reference in tests).
+u32 crc32c_portable(std::span<const u8> data, u32 seed = 0);
+}  // namespace detail
 
 // Convenience: checksum of a trivially-copyable value (e.g. a block tag).
 template <typename T>

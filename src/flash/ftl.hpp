@@ -12,8 +12,10 @@
 // returned operation counts into NAND time.
 #pragma once
 
+#include <functional>
 #include <vector>
 
+#include "common/result.hpp"
 #include "common/types.hpp"
 
 namespace srcache::flash {
@@ -88,6 +90,14 @@ class Ftl {
   // Debug/verification: physical page for a logical page, or kUnmapped.
   static constexpr u32 kUnmapped = ~0u;
   [[nodiscard]] u32 l2p(u64 lpage) const { return l2p_[lpage]; }
+  // Audits the mapping: l2p and p2l are inverses, every block's valid count
+  // matches its mapped pages, the free list holds exactly the free blocks,
+  // and the zero-valid closed-block count matches a recount.
+  [[nodiscard]] Status verify_consistency() const;
+  // Called with each GC victim just before it is erased (verification).
+  void set_erase_observer(std::function<void(u32 block)> fn) {
+    erase_observer_ = std::move(fn);
+  }
 
  private:
   enum class BlockState : u8 { kFree, kOpen, kClosed };
@@ -117,6 +127,11 @@ class Ftl {
   u32 gc_rr_ = 0;
   u64 mapped_pages_ = 0;
   u64 gc_low_;                    // run GC when free blocks fall below this
+  // Closed blocks holding no valid page: GC erases these without copying.
+  // While it is 0 and the pool is above critical, GC has nothing to do, so
+  // it skips the victim scan.
+  u64 zero_valid_closed_ = 0;
+  std::function<void(u32)> erase_observer_;
 };
 
 }  // namespace srcache::flash

@@ -6,12 +6,20 @@ namespace srcache::src {
 
 namespace {
 
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-void put_u32(std::vector<u8>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
+// Little-endian stores into a buffer sized up front.
+class Writer {
+ public:
+  explicit Writer(u8* p) : p_(p) {}
+  void u64v(u64 v) {
+    for (int i = 0; i < 8; ++i) *p_++ = static_cast<u8>(v >> (8 * i));
+  }
+  void u32v(u32 v) {
+    for (int i = 0; i < 4; ++i) *p_++ = static_cast<u8>(v >> (8 * i));
+  }
+
+ private:
+  u8* p_;
+};
 
 class Reader {
  public:
@@ -19,14 +27,16 @@ class Reader {
   bool u64v(u64* v) {
     if (pos_ + 8 > buf_.size()) return false;
     *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<u64>(buf_[pos_ + i]) << (8 * i);
+    for (int i = 0; i < 8; ++i)
+      *v |= static_cast<u64>(buf_[pos_ + i]) << (8 * i);
     pos_ += 8;
     return true;
   }
   bool u32v(u32* v) {
     if (pos_ + 4 > buf_.size()) return false;
     *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<u32>(buf_[pos_ + i]) << (8 * i);
+    for (int i = 0; i < 4; ++i)
+      *v |= static_cast<u32>(buf_[pos_ + i]) << (8 * i);
     pos_ += 4;
     return true;
   }
@@ -37,9 +47,11 @@ class Reader {
   size_t pos_ = 0;
 };
 
-void append_crc(std::vector<u8>& buf) {
-  const u32 crc = common::crc32c(std::span<const u8>(buf.data(), buf.size()));
-  put_u32(buf, crc);
+// Fills the buffer's last 4 bytes with the CRC-32C of everything before.
+void store_crc(std::vector<u8>& buf) {
+  const size_t body = buf.size() - 4;
+  Writer(buf.data() + body)
+      .u32v(common::crc32c(std::span<const u8>(buf.data(), body)));
 }
 
 bool check_crc(const std::vector<u8>& buf) {
@@ -53,28 +65,45 @@ bool check_crc(const std::vector<u8>& buf) {
   return stored == actual;
 }
 
+// Sizes before the trailing CRC: the segment header is magic, generation,
+// sg, seg, flags, count (u64 u64 u32 u32 u32 u32), then 16 bytes per entry;
+// the superblock is u64 u64 u32 u64 u64 u64.
+constexpr size_t kMetaHeaderBytes = 32;
+constexpr size_t kMetaFlagsOffset = 24;
+constexpr u32 kTailFlag = 4u;
+constexpr size_t kSuperblockBytes = 44;
+
 }  // namespace
 
 blockdev::Payload SegmentMeta::serialize() const {
-  auto buf = std::make_shared<std::vector<u8>>();
-  buf->reserve(48 + entries.size() * 16 + 4);
-  put_u64(*buf, kSegmentMetaMagic);
-  put_u64(*buf, generation);
-  put_u32(*buf, sg);
-  put_u32(*buf, seg);
-  put_u32(*buf, (dirty ? 1u : 0u) | (has_parity ? 2u : 0u) |
-                    (is_tail ? 4u : 0u) | (static_cast<u32>(parity_col) << 8));
-  put_u32(*buf, static_cast<u32>(entries.size()));
+  auto buf = std::make_shared<std::vector<u8>>(kMetaHeaderBytes +
+                                               entries.size() * 16 + 4);
+  Writer w(buf->data());
+  w.u64v(kSegmentMetaMagic);
+  w.u64v(generation);
+  w.u32v(sg);
+  w.u32v(seg);
+  w.u32v((dirty ? 1u : 0u) | (has_parity ? 2u : 0u) |
+         (is_tail ? kTailFlag : 0u) | (static_cast<u32>(parity_col) << 8));
+  w.u32v(static_cast<u32>(entries.size()));
   for (const Entry& e : entries) {
-    put_u64(*buf, e.lba);
-    put_u32(*buf, e.crc);
-    put_u32(*buf, e.tenant);
+    w.u64v(e.lba);
+    w.u32v(e.crc);
+    w.u32v(e.tenant);
   }
-  append_crc(*buf);
+  store_crc(*buf);
   return buf;
 }
 
-std::optional<SegmentMeta> SegmentMeta::deserialize(const blockdev::Payload& p) {
+blockdev::Payload SegmentMeta::tail_of(const blockdev::Payload& head) {
+  auto buf = std::make_shared<std::vector<u8>>(*head);
+  buf->at(kMetaFlagsOffset) |= static_cast<u8>(kTailFlag);
+  store_crc(*buf);
+  return buf;
+}
+
+std::optional<SegmentMeta> SegmentMeta::deserialize(
+    const blockdev::Payload& p) {
   if (!p || !check_crc(*p)) return std::nullopt;
   Reader r(*p);
   u64 magic = 0;
@@ -100,14 +129,15 @@ std::optional<SegmentMeta> SegmentMeta::deserialize(const blockdev::Payload& p) 
 }
 
 blockdev::Payload Superblock::serialize() const {
-  auto buf = std::make_shared<std::vector<u8>>();
-  put_u64(*buf, kSuperblockMagic);
-  put_u64(*buf, create_seq);
-  put_u32(*buf, num_ssds);
-  put_u64(*buf, erase_group_bytes);
-  put_u64(*buf, chunk_bytes);
-  put_u64(*buf, region_bytes_per_ssd);
-  append_crc(*buf);
+  auto buf = std::make_shared<std::vector<u8>>(kSuperblockBytes + 4);
+  Writer w(buf->data());
+  w.u64v(kSuperblockMagic);
+  w.u64v(create_seq);
+  w.u32v(num_ssds);
+  w.u64v(erase_group_bytes);
+  w.u64v(chunk_bytes);
+  w.u64v(region_bytes_per_ssd);
+  store_crc(*buf);
   return buf;
 }
 

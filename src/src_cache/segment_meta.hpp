@@ -38,6 +38,9 @@ struct SegmentMeta {
 
   // Serializes with a trailing CRC-32C over everything before it.
   [[nodiscard]] blockdev::Payload serialize() const;
+  // The ME image of a serialized MS: the same bytes with the tail flag set
+  // and the CRC recomputed (byte-identical to serialize() with is_tail).
+  [[nodiscard]] static blockdev::Payload tail_of(const blockdev::Payload& head);
 
   // Deserializes and verifies magic + checksum; nullopt if invalid/corrupt.
   static std::optional<SegmentMeta> deserialize(const blockdev::Payload& p);

@@ -313,7 +313,8 @@ bool SrcCache::over_quota(u16 tenant) const {
 }
 
 void SrcCache::census_add(SgInfo& sg, u16 tenant, u32 n) {
-  if (tenant >= sg.live_by_tenant.size()) sg.live_by_tenant.resize(tenant + 1, 0);
+  if (tenant >= sg.live_by_tenant.size())
+    sg.live_by_tenant.resize(tenant + 1, 0);
   sg.live_by_tenant[tenant] += n;
 }
 
@@ -568,7 +569,8 @@ u32 SrcCache::allocate_sg(SimTime now) {
   return sg;
 }
 
-SimTime SrcCache::seal_buffer(SimTime now, bool dirty_type, bool force_partial) {
+SimTime SrcCache::seal_buffer(SimTime now, bool dirty_type,
+                              bool force_partial) {
   SegBuffer& buf = dirty_type ? dirty_buf_ : clean_buf_;
   const u64 cap = buffer_capacity(dirty_type);
   SimTime done = now;
@@ -703,10 +705,8 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
 
   // Issue the stripe: MS + data + ME per SSD, all in parallel (§4.1).
   const u64 base = chunk_base_block(active_sg_, seg);
-  meta.is_tail = false;
   const auto ms_payload = meta.serialize();
-  meta.is_tail = true;
-  const auto me_payload = meta.serialize();
+  const auto me_payload = SegmentMeta::tail_of(ms_payload);
   SimTime done = issue;
   const u32 fill_span = span_ != nullptr && span_->sampling()
                             ? span_->begin_span("src.segment_fill", issue)
@@ -973,7 +973,8 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
   // Mirror copy (RAID-1).
   if (a.mirror_dev != SIZE_MAX && !dev_dead(a.mirror_dev, a.block)) {
     u64 tag = 0;
-    auto r = ssds_[a.mirror_dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
+    auto r =
+        ssds_[a.mirror_dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
     if (r.ok() &&
         (!cfg_.verify_checksums || common::crc32c_of(tag) == want_crc)) {
       if (done != nullptr) *done = std::max(*done, r.done);

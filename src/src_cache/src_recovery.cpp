@@ -244,9 +244,9 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
         meta.entries[k].crc = si.slot_crc[k];
         meta.entries[k].tenant = si.slot_tenant[k];
       }
-      meta.is_tail = false;
+      const auto ms_payload = meta.serialize();
       ext.push_back(
-          {base, 1, raid::RebuildHow::kMetadata, SIZE_MAX, meta.serialize()});
+          {base, 1, raid::RebuildHow::kMetadata, SIZE_MAX, ms_payload});
       // Data rows decode only where the stripe carries redundancy. NPC
       // clean rows were dropped from the map at fail time: nothing live to
       // restore, the rebuilder skips the whole run.
@@ -257,9 +257,8 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
         ext.push_back(
             {base + 1, rows, raid::RebuildHow::kParityXor, SIZE_MAX, nullptr});
       }
-      meta.is_tail = true;
       ext.push_back({base + 1 + rows, 1, raid::RebuildHow::kMetadata, SIZE_MAX,
-                     meta.serialize()});
+                     SegmentMeta::tail_of(ms_payload)});
     }
   }
   return ext;

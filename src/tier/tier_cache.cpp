@@ -59,11 +59,10 @@ double TierCache::hit_ratio() const {
 void TierCache::admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty) {
   Entry e;
   e.tag = tag;
+  e.seq = fifo_push(lba);
   e.csize = csize;
   e.tenant = tenant;
   e.dirty = dirty;
-  fifo_.push_back(lba);
-  e.pos = std::prev(fifo_.end());
   map_.emplace(lba, e);
   resident_csize_ += csize;
   if (dirty) {
@@ -82,9 +81,48 @@ void TierCache::remove_entry(u64 lba, Entry& e) {
     dirty_csize_ -= e.csize;
     dirty_blocks_--;
   }
-  fifo_.erase(e.pos);
+  fifo_unlink(e);
   map_.erase(lba);
   tstats_.evict_blocks++;
+}
+
+u64 TierCache::fifo_push(u64 lba) {
+  fifo_.push_back(lba);
+  return head_ + fifo_.size() - 1;
+}
+
+void TierCache::fifo_unlink(const Entry& e) {
+  if (e.dirty && e.seq < clean_upto_) stragglers_.erase(e.seq);
+  fifo_[e.seq - head_] = kTombstone;
+  ++tombstones_;
+  while (!fifo_.empty() && fifo_.front() == kTombstone) {
+    fifo_.pop_front();
+    ++head_;
+    --tombstones_;
+  }
+  if (tombstones_ > 64 && tombstones_ > fifo_.size() / 2) compact_fifo();
+}
+
+void TierCache::compact_fifo() {
+  // Renumbers the live blocks head_, head_+1, ... in order; the cursor and
+  // the stragglers move with them, so the FIFO order is unchanged.
+  const u64 old_cursor = clean_upto_;
+  clean_upto_ = head_;
+  stragglers_.clear();
+  size_t w = 0;
+  for (size_t i = 0; i < fifo_.size(); ++i) {
+    const u64 lba = fifo_[i];
+    if (lba == kTombstone) continue;
+    Entry& e = map_.at(lba);
+    e.seq = head_ + w;
+    if (head_ + i < old_cursor) {
+      clean_upto_ = e.seq + 1;
+      if (e.dirty) stragglers_.insert(e.seq);
+    }
+    fifo_[w++] = lba;
+  }
+  fifo_.resize(w);
+  tombstones_ = 0;
 }
 
 SimTime TierCache::destage_batch(SimTime now, std::vector<u64>& lbas,
@@ -113,19 +151,12 @@ SimTime TierCache::destage_batch(SimTime now, std::vector<u64>& lbas,
   return done;
 }
 
-SimTime TierCache::enforce_dirty_bound(SimTime now) {
-  const u64 limit = cfg_.budget_bytes / 100 * cfg_.dirty_pct;
-  if (dirty_csize_ <= limit) return now;
+SimTime TierCache::destage_oldest(SimTime now, u64 limit) {
   SimTime done = now;
   std::vector<u64> lbas, tags;
   std::vector<u16> tenants;
-  // Oldest-first write-back: blocks stay resident, flipped clean — the
-  // bound limits exposure, it does not evict.
-  for (auto it = fifo_.begin(); it != fifo_.end() && dirty_csize_ > limit;
-       ++it) {
-    Entry& e = map_.at(*it);
-    if (!e.dirty) continue;
-    lbas.push_back(*it);
+  const auto take = [&](u64 lba, Entry& e) {
+    lbas.push_back(lba);
     tags.push_back(e.tag);
     tenants.push_back(e.tenant);
     e.dirty = false;
@@ -133,9 +164,32 @@ SimTime TierCache::enforce_dirty_bound(SimTime now) {
     dirty_blocks_--;
     if (lbas.size() >= cfg_.destage_batch_blocks)
       done = std::max(done, destage_batch(now, lbas, tags, tenants));
+  };
+  // Stragglers are the only dirty blocks behind the cursor, so they are the
+  // oldest dirty blocks; after them the cursor walk continues in order.
+  while (dirty_csize_ > limit && !stragglers_.empty()) {
+    const u64 seq = *stragglers_.begin();
+    stragglers_.erase(stragglers_.begin());
+    const u64 lba = fifo_[seq - head_];
+    take(lba, map_.at(lba));
+  }
+  clean_upto_ = std::max(clean_upto_, head_);
+  const u64 tail = head_ + fifo_.size();
+  while (dirty_csize_ > limit && clean_upto_ < tail) {
+    const u64 lba = fifo_[clean_upto_++ - head_];
+    if (lba == kTombstone) continue;
+    Entry& e = map_.at(lba);
+    if (e.dirty) take(lba, e);
   }
   done = std::max(done, destage_batch(now, lbas, tags, tenants));
   return done;
+}
+
+SimTime TierCache::enforce_dirty_bound(SimTime now) {
+  // The bound limits exposure, it does not evict.
+  const u64 limit = cfg_.budget_bytes / 100 * cfg_.dirty_pct;
+  if (dirty_csize_ <= limit) return now;
+  return destage_oldest(now, limit);
 }
 
 SimTime TierCache::enforce_budget(SimTime now) {
@@ -148,18 +202,17 @@ SimTime TierCache::enforce_budget(SimTime now) {
   // keep-everything policy (the paper policy keeps all dirty blocks) cannot
   // livelock the walk.
   size_t walked = 0;
-  const size_t pass = fifo_.size();
+  const size_t pass = map_.size();
   while (resident_csize_ > cfg_.budget_bytes && !fifo_.empty()) {
-    const u64 lba = fifo_.front();
+    const u64 lba = fifo_.front();  // never a tombstone
     Entry& e = map_.at(lba);
     const bool keep =
         walked < pass && eviction_->keep_on_gc(lba, e.hot, e.dirty);
     ++walked;
     if (keep) {
       e.hot = false;  // second chance spent
-      fifo_.pop_front();
-      fifo_.push_back(lba);
-      e.pos = std::prev(fifo_.end());
+      fifo_unlink(e);
+      e.seq = fifo_push(lba);
       continue;
     }
     if (walked > pass) eviction_->on_evict(lba);  // forced, no gc verdict
@@ -227,6 +280,7 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
         dirty_csize_ += csize;
         dirty_blocks_++;
         e.dirty = true;
+        if (e.seq < clean_upto_) stragglers_.insert(e.seq);
       }
       e.csize = csize;
       e.tag = tag;
@@ -365,22 +419,7 @@ SimTime TierCache::submit(const cache::AppRequest& req) {
 
 SimTime TierCache::flush(SimTime now) {
   stats_.app_flushes++;
-  SimTime done = now;
-  std::vector<u64> lbas, tags;
-  std::vector<u16> tenants;
-  for (auto it = fifo_.begin(); it != fifo_.end(); ++it) {
-    Entry& e = map_.at(*it);
-    if (!e.dirty) continue;
-    lbas.push_back(*it);
-    tags.push_back(e.tag);
-    tenants.push_back(e.tenant);
-    e.dirty = false;
-    dirty_csize_ -= e.csize;
-    dirty_blocks_--;
-    if (lbas.size() >= cfg_.destage_batch_blocks)
-      done = std::max(done, destage_batch(now, lbas, tags, tenants));
-  }
-  done = std::max(done, destage_batch(now, lbas, tags, tenants));
+  const SimTime done = destage_oldest(now, 0);
   return std::max(done, inner_->flush(now));
 }
 
@@ -389,6 +428,7 @@ void TierCache::on_power_cut(SimTime now) {
   // Walk in FIFO order so policy teardown (ghost insertions) is
   // deterministic across shard/thread counts.
   for (u64 lba : fifo_) {
+    if (lba == kTombstone) continue;
     const Entry& e = map_.at(lba);
     if (e.dirty) {
       tstats_.lost_dirty_blocks++;
@@ -405,6 +445,10 @@ void TierCache::on_power_cut(SimTime now) {
   tstats_.evict_blocks += map_.size();
   map_.clear();
   fifo_.clear();
+  head_ = 0;
+  tombstones_ = 0;
+  clean_upto_ = 0;
+  stragglers_.clear();
   resident_csize_ = 0;
   dirty_csize_ = 0;
   dirty_blocks_ = 0;

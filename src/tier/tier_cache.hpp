@@ -37,8 +37,9 @@
 // the FaultLedger, so the ledger still reconciles.
 #pragma once
 
-#include <list>
+#include <deque>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -80,6 +81,8 @@ struct TierStats {
   u64 cpu_compress_ns = 0;      // virtual CPU time charged to compression
   u64 cpu_decompress_ns = 0;    // ... and decompression
   u64 lost_dirty_blocks = 0;    // dirty blocks in DRAM at a power cut
+
+  bool operator==(const TierStats&) const = default;
 };
 
 class TierCache final : public cache::CacheDevice {
@@ -102,7 +105,9 @@ class TierCache final : public cache::CacheDevice {
   [[nodiscard]] const TierConfig& config() const { return cfg_; }
   [[nodiscard]] const TierStats& tier_stats() const { return tstats_; }
   [[nodiscard]] u64 resident_blocks() const { return map_.size(); }
-  [[nodiscard]] u64 resident_compressed_bytes() const { return resident_csize_; }
+  [[nodiscard]] u64 resident_compressed_bytes() const {
+    return resident_csize_;
+  }
   [[nodiscard]] u64 dirty_blocks() const { return dirty_blocks_; }
   [[nodiscard]] u64 dirty_compressed_bytes() const { return dirty_csize_; }
   // Average compression ratio of everything admitted so far (compressed /
@@ -127,7 +132,7 @@ class TierCache final : public cache::CacheDevice {
  private:
   struct Entry {
     u64 tag = 0;
-    std::list<u64>::iterator pos;  // position in fifo_ (front = oldest)
+    u64 seq = 0;                   // FIFO position: fifo_[seq - head_]
     u32 csize = 0;                 // compressed bytes
     u16 tenant = 0;
     bool dirty = false;
@@ -140,9 +145,15 @@ class TierCache final : public cache::CacheDevice {
   [[nodiscard]] u32 compressed_size(u8 comp_pct) const;
   void admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty);
   void remove_entry(u64 lba, Entry& e);
+  // FIFO bookkeeping: append at the back (returns the new seq), and take a
+  // block's slot out (a tombstone unless it is the front).
+  u64 fifo_push(u64 lba);
+  void fifo_unlink(const Entry& e);
+  void compact_fifo();
 
-  // Destages the oldest dirty blocks in place (they stay resident, clean)
-  // until the dirty share is within bound.
+  // Destages dirty blocks oldest-first (FIFO order) in place — they stay
+  // resident, clean — until at most `limit` dirty compressed bytes remain.
+  SimTime destage_oldest(SimTime now, u64 limit);
   SimTime enforce_dirty_bound(SimTime now);
   // Evicts (policy second chance) until compressed size fits the budget.
   SimTime enforce_budget(SimTime now);
@@ -154,7 +165,21 @@ class TierCache final : public cache::CacheDevice {
   src::SrcCache* src_;
 
   std::unordered_map<u64, Entry> map_;
-  std::list<u64> fifo_;
+  // FIFO of resident LBAs, front = oldest; the block with sequence number
+  // `seq` sits at fifo_[seq - head_]. A block removed from the middle leaves
+  // kTombstone, trimmed once it reaches the front (or compacted away when
+  // tombstones outnumber live slots). The front is never a tombstone.
+  static constexpr u64 kTombstone = ~u64{0};
+  std::deque<u64> fifo_;
+  u64 head_ = 0;        // seq of fifo_.front()
+  u64 tombstones_ = 0;  // kTombstone slots inside fifo_
+  // Dirty-order index: every resident block with seq < clean_upto_ is clean,
+  // except the stragglers — blocks behind the cursor that a write hit made
+  // dirty again. The write-back walk drains stragglers (all older than the
+  // cursor) and then advances the cursor, so each clean block is passed at
+  // most once instead of on every write.
+  u64 clean_upto_ = 0;
+  std::set<u64> stragglers_;
   std::unique_ptr<policy::EvictionPolicy> eviction_;
 
   u64 resident_csize_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
@@ -79,6 +80,28 @@ TEST(Crc32c, SingleBitFlipDetected) {
   }
 }
 
+TEST(Crc32c, DispatchedPathMatchesPortable) {
+  // Whichever implementation crc32c() dispatched to (SSE4.2 or the table
+  // loop) must agree with the portable one: every length across the 8-byte
+  // word/tail split, a 4 KiB block at odd offsets, and chained seeds.
+  Xoshiro256 rng(0xC5C32);
+  std::vector<u8> buf(4096 + 8);
+  for (u8& b : buf) b = static_cast<u8>(rng.next());
+  for (size_t len = 0; len <= 64; ++len) {
+    const std::span<const u8> s(buf.data(), len);
+    EXPECT_EQ(crc32c(s), common::detail::crc32c_portable(s)) << len;
+  }
+  for (size_t off = 0; off < 8; ++off) {
+    const std::span<const u8> s(buf.data() + off, 4096);
+    EXPECT_EQ(crc32c(s), common::detail::crc32c_portable(s)) << off;
+  }
+  for (int i = 0; i < 64; ++i) {
+    const u32 seed = static_cast<u32>(rng.next());
+    const std::span<const u8> s(buf.data() + rng.below(64), rng.below(200));
+    EXPECT_EQ(crc32c(s, seed), common::detail::crc32c_portable(s, seed)) << i;
+  }
+}
+
 // --- Result / Status ---------------------------------------------------------
 
 TEST(Status, DefaultIsOk) {
@@ -111,7 +134,7 @@ TEST(Result, OkStatusRejected) {
   EXPECT_THROW(Result<int>{Status::ok()}, std::logic_error);
 }
 
-// --- rng ----------------------------------------------------------------------
+// --- rng ---------------------------------------------------------------------
 
 TEST(Rng, Deterministic) {
   Xoshiro256 a(7), b(7);
@@ -186,7 +209,7 @@ TEST(Zipf, StaysInRange) {
   for (int i = 0; i < 10000; ++i) EXPECT_LT(z.next(), 50u);
 }
 
-// --- histogram -----------------------------------------------------------------
+// --- histogram ---------------------------------------------------------------
 
 TEST(Histogram, CountsMinMaxMean) {
   Histogram h;
@@ -244,7 +267,7 @@ TEST(Histogram, EmptyIsZero) {
   EXPECT_EQ(h.percentile(99), 0.0);
 }
 
-// --- table ----------------------------------------------------------------------
+// --- table -------------------------------------------------------------------
 
 TEST(Table, AlignsColumns) {
   Table t({"name", "value"});
