@@ -54,8 +54,22 @@ struct DeviceStats {
                        flushes - o.flushes,       trim_ops - o.trim_ops,
                        trim_blocks - o.trim_blocks};
   }
+  DeviceStats& operator+=(const DeviceStats& o) {
+    read_ops += o.read_ops;
+    read_blocks += o.read_blocks;
+    write_ops += o.write_ops;
+    write_blocks += o.write_blocks;
+    flushes += o.flushes;
+    trim_ops += o.trim_ops;
+    trim_blocks += o.trim_blocks;
+    return *this;
+  }
   [[nodiscard]] u64 total_blocks() const { return read_blocks + write_blocks; }
+
+  bool operator==(const DeviceStats&) const = default;
 };
+// The operators above list every field; a new counter must join them.
+static_assert(sizeof(DeviceStats) == 7 * sizeof(u64));
 
 class BlockDevice {
  public:

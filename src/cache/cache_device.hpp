@@ -65,8 +65,43 @@ struct CacheStats {
     return app_read_blocks + app_write_blocks;
   }
 
+  // Window deltas (after - before) and cross-domain sums.
+  CacheStats operator-(const CacheStats& o) const {
+    return CacheStats{app_read_ops - o.app_read_ops,
+                      app_read_blocks - o.app_read_blocks,
+                      app_write_ops - o.app_write_ops,
+                      app_write_blocks - o.app_write_blocks,
+                      read_hit_blocks - o.read_hit_blocks,
+                      read_miss_blocks - o.read_miss_blocks,
+                      write_hit_blocks - o.write_hit_blocks,
+                      write_new_blocks - o.write_new_blocks,
+                      fetch_blocks - o.fetch_blocks,
+                      destage_blocks - o.destage_blocks,
+                      gc_copy_blocks - o.gc_copy_blocks,
+                      dropped_clean_blocks - o.dropped_clean_blocks,
+                      app_flushes - o.app_flushes};
+  }
+  CacheStats& operator+=(const CacheStats& o) {
+    app_read_ops += o.app_read_ops;
+    app_read_blocks += o.app_read_blocks;
+    app_write_ops += o.app_write_ops;
+    app_write_blocks += o.app_write_blocks;
+    read_hit_blocks += o.read_hit_blocks;
+    read_miss_blocks += o.read_miss_blocks;
+    write_hit_blocks += o.write_hit_blocks;
+    write_new_blocks += o.write_new_blocks;
+    fetch_blocks += o.fetch_blocks;
+    destage_blocks += o.destage_blocks;
+    gc_copy_blocks += o.gc_copy_blocks;
+    dropped_clean_blocks += o.dropped_clean_blocks;
+    app_flushes += o.app_flushes;
+    return *this;
+  }
+
   bool operator==(const CacheStats&) const = default;
 };
+// The operators above list every field; a new counter must join them.
+static_assert(sizeof(CacheStats) == 13 * sizeof(u64));
 
 class CacheDevice {
  public:

@@ -110,7 +110,8 @@ class LanePool {
 // sum across domains; "util.<resource>" utilizations average over the
 // domains reporting the resource — each domain owns its own copy of the
 // device array, so the mean is the array-wide utilization.
-obs::TimeSeries merge_timeseries(const std::vector<workload::RunResult>& parts) {
+obs::TimeSeries merge_timeseries(
+    const std::vector<workload::RunResult>& parts) {
   obs::TimeSeries out;
   out.interval = parts[0].timeseries.interval;
   out.window_start = 0;
@@ -150,16 +151,7 @@ obs::TimeSeries merge_timeseries(const std::vector<workload::RunResult>& parts) 
         if (name.starts_with("util.")) util_count[name]++;
       }
     }
-    const double secs = sim::to_seconds(s.duration());
-    s.throughput_mbps =
-        secs > 0.0 ? static_cast<double>(s.bytes) / 1e6 / secs : 0.0;
-    const u64 classified = s.hits + s.misses;
-    s.hit_ratio = classified == 0 ? 0.0
-                                  : static_cast<double>(s.hits) /
-                                        static_cast<double>(classified);
-    s.io_amplification =
-        s.app_blocks == 0 ? 0.0
-                          : ssd_blocks / static_cast<double>(s.app_blocks);
+    s.derive(ssd_blocks);
     for (const auto& [name, cnt] : util_count)
       if (cnt > 1) s.series[name] /= static_cast<double>(cnt);
   }
@@ -173,115 +165,8 @@ workload::RunResult merge_results(
   if (parts.empty())
     throw std::invalid_argument("engine: merge of zero results");
   workload::RunResult m;
-  m.seconds = parts[0].seconds;
-
-  for (const workload::RunResult& p : parts) {
-    m.ops += p.ops;
-    m.bytes += p.bytes;
-
-    m.cache.app_read_ops += p.cache.app_read_ops;
-    m.cache.app_read_blocks += p.cache.app_read_blocks;
-    m.cache.app_write_ops += p.cache.app_write_ops;
-    m.cache.app_write_blocks += p.cache.app_write_blocks;
-    m.cache.read_hit_blocks += p.cache.read_hit_blocks;
-    m.cache.read_miss_blocks += p.cache.read_miss_blocks;
-    m.cache.write_hit_blocks += p.cache.write_hit_blocks;
-    m.cache.write_new_blocks += p.cache.write_new_blocks;
-    m.cache.fetch_blocks += p.cache.fetch_blocks;
-    m.cache.destage_blocks += p.cache.destage_blocks;
-    m.cache.gc_copy_blocks += p.cache.gc_copy_blocks;
-    m.cache.dropped_clean_blocks += p.cache.dropped_clean_blocks;
-    m.cache.app_flushes += p.cache.app_flushes;
-
-    m.ssd.read_ops += p.ssd.read_ops;
-    m.ssd.read_blocks += p.ssd.read_blocks;
-    m.ssd.write_ops += p.ssd.write_ops;
-    m.ssd.write_blocks += p.ssd.write_blocks;
-    m.ssd.flushes += p.ssd.flushes;
-    m.ssd.trim_ops += p.ssd.trim_ops;
-    m.ssd.trim_blocks += p.ssd.trim_blocks;
-
-    m.latency.merge_from(p.latency);
-    m.metrics.merge_add(p.metrics);
-    m.provenance.merge_add(p.provenance);
-    m.spans.merge_add(p.spans);
-
-    m.fault.active = m.fault.active || p.fault.active;
-    m.fault.events_fired += p.fault.events_fired;
-    m.fault.injected += p.fault.injected;
-    m.fault.detected += p.fault.detected;
-    m.fault.repaired += p.fault.repaired;
-    m.fault.repaired_by_rebuild += p.fault.repaired_by_rebuild;
-    m.fault.undetected += p.fault.undetected;
-    m.rebuild.merge_add(p.rebuild);
-    m.tier.merge_add(p.tier);
-    if (p.fault.first_fault_s >= 0.0 &&
-        (m.fault.first_fault_s < 0.0 ||
-         p.fault.first_fault_s < m.fault.first_fault_s))
-      m.fault.first_fault_s = p.fault.first_fault_s;
-    m.fault.degraded_bytes += p.fault.degraded_bytes;
-    m.fault.degraded_latency.merge_from(p.fault.degraded_latency);
-
-    if (p.tenants.size() > m.tenants.size()) m.tenants.resize(p.tenants.size());
-    for (size_t t = 0; t < p.tenants.size(); ++t) {
-      workload::TenantOutcome& to = m.tenants[t];
-      to.ops += p.tenants[t].ops;
-      to.bytes += p.tenants[t].bytes;
-      to.hit_blocks += p.tenants[t].hit_blocks;
-      to.miss_blocks += p.tenants[t].miss_blocks;
-      to.target_blocks += p.tenants[t].target_blocks;
-    }
-    // Epoch counts coincide across domains (same window, same epoch length);
-    // max keeps the invariant when a domain ran out of ops early.
-    m.adapt_epochs = std::max(m.adapt_epochs, p.adapt_epochs);
-    m.adapt_rebalances += p.adapt_rebalances;
-
-    m.trace_info.present = m.trace_info.present || p.trace_info.present;
-    m.trace_info.malformed_lines += p.trace_info.malformed_lines;
-  }
-
-  m.throughput_mbps =
-      m.seconds > 0.0 ? static_cast<double>(m.bytes) / 1e6 / m.seconds : 0.0;
-  const u64 app_blocks = m.cache.app_blocks();
-  m.io_amplification = app_blocks == 0
-                           ? 0.0
-                           : static_cast<double>(m.ssd.total_blocks()) /
-                                 static_cast<double>(app_blocks);
-  m.hit_ratio = m.cache.hit_ratio();
-
-  m.read_lat = obs::LatencySummary::of(m.latency.reads());
-  m.write_lat = obs::LatencySummary::of(m.latency.writes());
-  for (int c = 0; c < obs::kNumReqClasses; ++c) {
-    m.class_lat[static_cast<size_t>(c)] = obs::LatencySummary::of(
-        m.latency.histogram(static_cast<obs::ReqClass>(c)));
-  }
-  m.latency_clamped = m.latency.clamped();
-  m.metrics.counters["obs.latency.clamped"] = m.latency_clamped;
-
-  if (m.fault.active) {
-    // The merged healthy/degraded split uses the earliest fault across
-    // domains. When the same plan is delivered to every domain at the same
-    // window-relative time (the engine's normal mode) all domains agree and
-    // this is exact; with heterogeneous plans it is the conservative split.
-    if (m.fault.first_fault_s >= 0.0) {
-      const double healthy_s = m.fault.first_fault_s;
-      const double degraded_s = m.seconds - healthy_s;
-      const u64 healthy_bytes = m.bytes - m.fault.degraded_bytes;
-      if (healthy_s > 0.0)
-        m.fault.healthy_mbps =
-            static_cast<double>(healthy_bytes) / 1e6 / healthy_s;
-      if (degraded_s > 0.0)
-        m.fault.degraded_mbps =
-            static_cast<double>(m.fault.degraded_bytes) / 1e6 / degraded_s;
-      m.fault.degraded_read_lat =
-          obs::LatencySummary::of(m.fault.degraded_latency.reads());
-      m.fault.degraded_write_lat =
-          obs::LatencySummary::of(m.fault.degraded_latency.writes());
-    } else {
-      m.fault.healthy_mbps = m.throughput_mbps;
-    }
-  }
-
+  for (const workload::RunResult& p : parts) m.merge_add(p);
+  m.derive();
   m.timeseries = merge_timeseries(parts);
   return m;
 }
@@ -301,7 +186,8 @@ EngineResult ParallelEngine::run(u32 num_domains,
   const u32 lanes = std::min(std::max(cfg_.shards, u32{1}), num_domains);
   u32 threads = cfg_.threads;
   if (threads == 0)
-    threads = std::min(lanes, std::max(1u, std::thread::hardware_concurrency()));
+    threads =
+        std::min(lanes, std::max(1u, std::thread::hardware_concurrency()));
   threads = std::min(threads, lanes);
 
   const auto wall0 = std::chrono::steady_clock::now();

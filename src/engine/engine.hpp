@@ -177,8 +177,8 @@ class ParallelEngine {
 };
 
 // Deterministic merge of per-domain results (exposed for tests). `parts`
-// must be index-ordered and share seconds/duration; derived doubles are
-// recomputed from the exact integer aggregates.
+// must be index-ordered and share seconds/duration: a fold of
+// RunResult::merge_add, then RunResult::derive() and the time-series merge.
 workload::RunResult merge_results(
     const std::vector<workload::RunResult>& parts);
 

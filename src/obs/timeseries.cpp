@@ -223,6 +223,18 @@ void TimeSeriesSampler::finish(sim::SimTime t_end) {
   started_ = false;
 }
 
+void TimeSample::derive(double ssd_blocks) {
+  const double secs = sim::to_seconds(duration());
+  throughput_mbps = secs > 0.0 ? static_cast<double>(bytes) / 1e6 / secs : 0.0;
+  const u64 classified = hits + misses;
+  hit_ratio = classified == 0 ? 0.0
+                              : static_cast<double>(hits) /
+                                    static_cast<double>(classified);
+  io_amplification = app_blocks == 0
+                         ? 0.0
+                         : ssd_blocks / static_cast<double>(app_blocks);
+}
+
 void TimeSeriesSampler::close_interval(sim::SimTime end) {
   if (out_.samples.size() >= max_samples_) {
     out_.truncated = true;
@@ -231,18 +243,10 @@ void TimeSeriesSampler::close_interval(sim::SimTime end) {
   TimeSample s = acc_;
   s.start = cur_start_;
   s.end = end;
-  const double secs = sim::to_seconds(s.duration());
-  s.throughput_mbps =
-      secs > 0.0 ? static_cast<double>(s.bytes) / 1e6 / secs : 0.0;
-  const u64 classified = s.hits + s.misses;
-  s.hit_ratio =
-      classified == 0 ? 0.0
-                      : static_cast<double>(s.hits) /
-                            static_cast<double>(classified);
-
+  u64 ssd_blocks = 0;
   if (registry_ != nullptr) {
     const MetricsSnapshot snap = registry_->snapshot();
-    u64 ssd_blocks = 0, gc_erases = 0, gc_pages = 0;
+    u64 gc_erases = 0, gc_pages = 0;
     for (const auto& [name, cur] : snap.counters) {
       const u64 d = counter_delta(snap.counters, prev_.counters, name);
       if (const std::string res = busy_resource(name); !res.empty()) {
@@ -273,14 +277,11 @@ void TimeSeriesSampler::close_interval(sim::SimTime end) {
     }
     s.series["gc.erases"] = static_cast<double>(gc_erases);
     s.series["gc.pages_copied"] = static_cast<double>(gc_pages);
-    s.io_amplification = s.app_blocks == 0
-                             ? 0.0
-                             : static_cast<double>(ssd_blocks) /
-                                   static_cast<double>(s.app_blocks);
     for (const auto& [name, v] : snap.gauges)
       if (!is_units_gauge(name)) s.series[name] = v;
     prev_ = snap;
   }
+  s.derive(static_cast<double>(ssd_blocks));
 
   out_.samples.push_back(std::move(s));
   acc_ = TimeSample{};

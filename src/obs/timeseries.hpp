@@ -61,6 +61,9 @@ struct TimeSample {
   std::map<std::string, double> series;
 
   [[nodiscard]] sim::SimTime duration() const { return end - start; }
+  // Recomputes the derived paper metrics from the accumulators and the
+  // interval's SSD blocks moved (the sampler and the engine merge share it).
+  void derive(double ssd_blocks);
 };
 
 // A complete sampled window, embeddable in REPRO_JSON and exportable as CSV.

@@ -42,20 +42,6 @@ u32 TierCache::compressed_size(u8 comp_pct) const {
   return std::max<u32>(1, static_cast<u32>(kBlockSize) * pct / 100);
 }
 
-double TierCache::compression_ratio() const {
-  return tstats_.uncompressed_bytes == 0
-             ? 1.0
-             : static_cast<double>(tstats_.compressed_bytes) /
-                   static_cast<double>(tstats_.uncompressed_bytes);
-}
-
-double TierCache::hit_ratio() const {
-  const u64 total = tstats_.hit_blocks + tstats_.miss_blocks;
-  return total == 0 ? 0.0
-                    : static_cast<double>(tstats_.hit_blocks) /
-                          static_cast<double>(total);
-}
-
 void TierCache::admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty) {
   Entry e;
   e.tag = tag;

@@ -65,7 +65,7 @@ struct TierConfig {
 };
 
 // Monotonic tallies; window deltas and cross-domain merges are exact
-// integer arithmetic (workload::TierOutcome mirrors these fields).
+// integer arithmetic (workload::TierOutcome extends these fields).
 struct TierStats {
   u64 hit_blocks = 0;           // reads served from the tier
   u64 miss_blocks = 0;          // reads forwarded to the inner cache
@@ -82,8 +82,59 @@ struct TierStats {
   u64 cpu_decompress_ns = 0;    // ... and decompression
   u64 lost_dirty_blocks = 0;    // dirty blocks in DRAM at a power cut
 
+  [[nodiscard]] double hit_ratio() const {
+    const u64 total = hit_blocks + miss_blocks;
+    return total == 0 ? 0.0
+                      : static_cast<double>(hit_blocks) /
+                            static_cast<double>(total);
+  }
+  // Compressed / uncompressed bytes admitted (1.0 when nothing was).
+  [[nodiscard]] double compression_ratio() const {
+    return uncompressed_bytes == 0
+               ? 1.0
+               : static_cast<double>(compressed_bytes) /
+                     static_cast<double>(uncompressed_bytes);
+  }
+
+  // Window deltas (after - before) and cross-domain sums.
+  TierStats operator-(const TierStats& o) const {
+    return TierStats{hit_blocks - o.hit_blocks,
+                     miss_blocks - o.miss_blocks,
+                     admit_blocks - o.admit_blocks,
+                     bypass_blocks - o.bypass_blocks,
+                     promote_blocks - o.promote_blocks,
+                     destage_blocks - o.destage_blocks,
+                     demote_blocks - o.demote_blocks,
+                     drop_blocks - o.drop_blocks,
+                     evict_blocks - o.evict_blocks,
+                     uncompressed_bytes - o.uncompressed_bytes,
+                     compressed_bytes - o.compressed_bytes,
+                     cpu_compress_ns - o.cpu_compress_ns,
+                     cpu_decompress_ns - o.cpu_decompress_ns,
+                     lost_dirty_blocks - o.lost_dirty_blocks};
+  }
+  TierStats& operator+=(const TierStats& o) {
+    hit_blocks += o.hit_blocks;
+    miss_blocks += o.miss_blocks;
+    admit_blocks += o.admit_blocks;
+    bypass_blocks += o.bypass_blocks;
+    promote_blocks += o.promote_blocks;
+    destage_blocks += o.destage_blocks;
+    demote_blocks += o.demote_blocks;
+    drop_blocks += o.drop_blocks;
+    evict_blocks += o.evict_blocks;
+    uncompressed_bytes += o.uncompressed_bytes;
+    compressed_bytes += o.compressed_bytes;
+    cpu_compress_ns += o.cpu_compress_ns;
+    cpu_decompress_ns += o.cpu_decompress_ns;
+    lost_dirty_blocks += o.lost_dirty_blocks;
+    return *this;
+  }
+
   bool operator==(const TierStats&) const = default;
 };
+// The operators above list every field; a new counter must join them.
+static_assert(sizeof(TierStats) == 14 * sizeof(u64));
 
 class TierCache final : public cache::CacheDevice {
  public:
@@ -112,8 +163,10 @@ class TierCache final : public cache::CacheDevice {
   [[nodiscard]] u64 dirty_compressed_bytes() const { return dirty_csize_; }
   // Average compression ratio of everything admitted so far (compressed /
   // uncompressed; 1.0 when nothing was admitted).
-  [[nodiscard]] double compression_ratio() const;
-  [[nodiscard]] double hit_ratio() const;
+  [[nodiscard]] double compression_ratio() const {
+    return tstats_.compression_ratio();
+  }
+  [[nodiscard]] double hit_ratio() const { return tstats_.hit_ratio(); }
 
   // Power cut: DRAM is gone. Dirty residents are counted lost (TierStats::
   // lost_dirty_blocks and, when a ledger is attached, an injected+detected

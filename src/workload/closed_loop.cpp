@@ -5,6 +5,24 @@
 
 namespace srcache::workload {
 
+namespace {
+
+// Sum over the cache SSDs. Only the read/write fields are summed: every
+// committed digest has REPRO_JSON ssd.flushes/trim_blocks at 0 (ROADMAP).
+blockdev::DeviceStats ssd_sum(const std::vector<blockdev::BlockDevice*>& ssds) {
+  blockdev::DeviceStats t;
+  for (const blockdev::BlockDevice* d : ssds) {
+    const blockdev::DeviceStats& s = d->stats();
+    t.read_ops += s.read_ops;
+    t.read_blocks += s.read_blocks;
+    t.write_ops += s.write_ops;
+    t.write_blocks += s.write_blocks;
+  }
+  return t;
+}
+
+}  // namespace
+
 ClosedLoop::ClosedLoop(cache::CacheDevice* cache,
                        std::vector<blockdev::BlockDevice*> ssds,
                        const std::vector<Generator*>& gens,
@@ -103,13 +121,7 @@ void ClosedLoop::start() {
   start_ = heap_.empty() ? 0 : heap_.top().first;
   measuring_ = true;
 
-  for (auto* d : ssds_) {
-    const auto& s = d->stats();
-    ssd_before_.read_ops += s.read_ops;
-    ssd_before_.read_blocks += s.read_blocks;
-    ssd_before_.write_ops += s.write_ops;
-    ssd_before_.write_blocks += s.write_blocks;
-  }
+  ssd_before_ = ssd_sum(ssds_);
   cache_before_ = cache_->stats();
   if (cfg_.registry != nullptr) metrics_before_ = cfg_.registry->snapshot();
   if (cfg_.provenance != nullptr) prov_before_ = *cfg_.provenance;
@@ -165,63 +177,13 @@ RunResult ClosedLoop::finish() {
   // Close out the sampled window at the nominal end: trailing zero-request
   // intervals (op budget exhausted, streams drained) are real idle time.
   sampler_.finish(window_end());
+  res_.timeseries = sampler_.take();
 
   res_.seconds = sim::to_seconds(cfg_.duration);
-  res_.throughput_mbps = static_cast<double>(res_.bytes) / 1e6 / res_.seconds;
-
-  blockdev::DeviceStats ssd_after;
-  for (auto* d : ssds_) {
-    const auto& s = d->stats();
-    ssd_after.read_ops += s.read_ops;
-    ssd_after.read_blocks += s.read_blocks;
-    ssd_after.write_ops += s.write_ops;
-    ssd_after.write_blocks += s.write_blocks;
-  }
-  res_.ssd = ssd_after - ssd_before_;
-
-  const cache::CacheStats& after = cache_->stats();
-  res_.cache.app_read_ops = after.app_read_ops - cache_before_.app_read_ops;
-  res_.cache.app_read_blocks =
-      after.app_read_blocks - cache_before_.app_read_blocks;
-  res_.cache.app_write_ops = after.app_write_ops - cache_before_.app_write_ops;
-  res_.cache.app_write_blocks =
-      after.app_write_blocks - cache_before_.app_write_blocks;
-  res_.cache.read_hit_blocks =
-      after.read_hit_blocks - cache_before_.read_hit_blocks;
-  res_.cache.read_miss_blocks =
-      after.read_miss_blocks - cache_before_.read_miss_blocks;
-  res_.cache.write_hit_blocks =
-      after.write_hit_blocks - cache_before_.write_hit_blocks;
-  res_.cache.write_new_blocks =
-      after.write_new_blocks - cache_before_.write_new_blocks;
-  res_.cache.fetch_blocks = after.fetch_blocks - cache_before_.fetch_blocks;
-  res_.cache.destage_blocks =
-      after.destage_blocks - cache_before_.destage_blocks;
-  res_.cache.gc_copy_blocks =
-      after.gc_copy_blocks - cache_before_.gc_copy_blocks;
-  res_.cache.dropped_clean_blocks =
-      after.dropped_clean_blocks - cache_before_.dropped_clean_blocks;
-
-  const u64 app_blocks = res_.cache.app_blocks();
-  res_.io_amplification =
-      app_blocks == 0 ? 0.0
-                      : static_cast<double>(res_.ssd.total_blocks()) /
-                            static_cast<double>(app_blocks);
-  res_.hit_ratio = res_.cache.hit_ratio();
-
-  res_.read_lat = obs::LatencySummary::of(res_.latency.reads());
-  res_.write_lat = obs::LatencySummary::of(res_.latency.writes());
-  for (int c = 0; c < obs::kNumReqClasses; ++c) {
-    res_.class_lat[static_cast<size_t>(c)] = obs::LatencySummary::of(
-        res_.latency.histogram(static_cast<obs::ReqClass>(c)));
-  }
-  res_.latency_clamped = res_.latency.clamped();
+  res_.ssd = ssd_sum(ssds_) - ssd_before_;
+  res_.cache = cache_->stats() - cache_before_;
   if (cfg_.registry != nullptr)
     res_.metrics = cfg_.registry->snapshot().delta_since(metrics_before_);
-  // Surface the clamp counter alongside the stack's own metrics so timing
-  // bugs show up in REPRO_JSON instead of being swallowed.
-  res_.metrics.counters["obs.latency.clamped"] = res_.latency_clamped;
-  res_.timeseries = sampler_.take();
   // Window deltas mirror the ssd-stats delta above, so the ledger balance
   // invariant (flash bytes == cache-SSD write bytes) holds per window even
   // with preconditioning traffic before start().
@@ -230,31 +192,13 @@ RunResult ClosedLoop::finish() {
   if (cfg_.spans != nullptr) res_.spans = cfg_.spans->outcome();
   if (cfg_.tier != nullptr) {
     TierOutcome& to = res_.tier;
-    const tier::TierStats& ts = cfg_.tier->tier_stats();
     to.active = true;
-    to.hit_blocks = ts.hit_blocks - tier_before_.hit_blocks;
-    to.miss_blocks = ts.miss_blocks - tier_before_.miss_blocks;
-    to.admit_blocks = ts.admit_blocks - tier_before_.admit_blocks;
-    to.bypass_blocks = ts.bypass_blocks - tier_before_.bypass_blocks;
-    to.promote_blocks = ts.promote_blocks - tier_before_.promote_blocks;
-    to.destage_blocks = ts.destage_blocks - tier_before_.destage_blocks;
-    to.demote_blocks = ts.demote_blocks - tier_before_.demote_blocks;
-    to.drop_blocks = ts.drop_blocks - tier_before_.drop_blocks;
-    to.evict_blocks = ts.evict_blocks - tier_before_.evict_blocks;
-    to.uncompressed_bytes =
-        ts.uncompressed_bytes - tier_before_.uncompressed_bytes;
-    to.compressed_bytes = ts.compressed_bytes - tier_before_.compressed_bytes;
-    to.cpu_compress_ns = ts.cpu_compress_ns - tier_before_.cpu_compress_ns;
-    to.cpu_decompress_ns =
-        ts.cpu_decompress_ns - tier_before_.cpu_decompress_ns;
-    to.lost_dirty_blocks =
-        ts.lost_dirty_blocks - tier_before_.lost_dirty_blocks;
+    static_cast<tier::TierStats&>(to) = cfg_.tier->tier_stats() - tier_before_;
     to.resident_blocks = cfg_.tier->resident_blocks();
     to.resident_compressed_bytes = cfg_.tier->resident_compressed_bytes();
     to.dirty_blocks = cfg_.tier->dirty_blocks();
     to.budget_bytes = cfg_.tier->config().budget_bytes;
   }
-
   if (cfg_.fault != nullptr) {
     FaultOutcome& fo = res_.fault;
     fo.active = true;
@@ -266,23 +210,7 @@ RunResult ClosedLoop::finish() {
     fo.repaired_by_rebuild = led.repaired_by_rebuild();
     fo.undetected = led.undetected();
     const sim::SimTime first = cfg_.fault->first_fire_time();
-    if (first >= 0) {
-      fo.first_fault_s = sim::to_seconds(first - start_);
-      const double healthy_s = sim::to_seconds(first - start_);
-      const double degraded_s = res_.seconds - healthy_s;
-      const u64 healthy_bytes = res_.bytes - fo.degraded_bytes;
-      if (healthy_s > 0)
-        fo.healthy_mbps = static_cast<double>(healthy_bytes) / 1e6 / healthy_s;
-      if (degraded_s > 0)
-        fo.degraded_mbps =
-            static_cast<double>(fo.degraded_bytes) / 1e6 / degraded_s;
-      fo.degraded_read_lat =
-          obs::LatencySummary::of(fo.degraded_latency.reads());
-      fo.degraded_write_lat =
-          obs::LatencySummary::of(fo.degraded_latency.writes());
-    } else {
-      fo.healthy_mbps = res_.throughput_mbps;
-    }
+    if (first >= 0) fo.first_fault_s = sim::to_seconds(first - start_);
   }
   if (cfg_.rebuild != nullptr) {
     // Grant the rebuilder the whole window's rate budget (ops may have run
@@ -299,6 +227,7 @@ RunResult ClosedLoop::finish() {
     for (size_t t = 0; t < res_.tenants.size() && t < targets.size(); ++t)
       res_.tenants[t].target_blocks = targets[t];
   }
+  res_.derive();
   return std::move(res_);
 }
 

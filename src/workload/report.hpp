@@ -7,6 +7,11 @@
 // document, so the perf trajectory across commits is machine-tracked instead
 // of scraped from text tables.
 //
+// run_json only serializes. The run's derived fields (throughput, I/O
+// amplification, hit ratio, latency summaries, the fault healthy/degraded
+// split) are computed in RunResult::derive() and nowhere else; the tier and
+// tenant ratios are methods of their own stats structs.
+//
 // Schema (stable; version bumps change "schema"):
 //   { "schema": "srcache-repro-v3",
 //     "scale": 0.25, "virtual_seconds": 10,

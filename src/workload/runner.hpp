@@ -19,11 +19,8 @@
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "raid/rebuild.hpp"
+#include "tier/tier_cache.hpp"
 #include "workload/generators.hpp"
-
-namespace srcache::tier {
-class TierCache;
-}
 
 namespace srcache::workload {
 
@@ -113,28 +110,18 @@ struct FaultOutcome {
   obs::LatencyRecorder degraded_latency;
   obs::LatencySummary degraded_read_lat;
   obs::LatencySummary degraded_write_lat;
+
+  // Sums the exact aggregates and keeps the earliest first_fault_s; the
+  // split itself is derived by RunResult::derive().
+  void merge_add(const FaultOutcome& o);
 };
 
 // Compressed-DRAM-tier outcome of a run (inactive unless RunConfig::tier
-// was set): integer mirrors of tier::TierStats over the measurement window
-// plus end-of-window occupancy. Everything is exact integer arithmetic so
+// was set): the tier::TierStats delta over the measurement window plus
+// end-of-window occupancy. Everything is exact integer arithmetic so
 // per-shard outcomes merge bit-identically.
-struct TierOutcome {
+struct TierOutcome : tier::TierStats {
   bool active = false;
-  u64 hit_blocks = 0;
-  u64 miss_blocks = 0;
-  u64 admit_blocks = 0;
-  u64 bypass_blocks = 0;
-  u64 promote_blocks = 0;
-  u64 destage_blocks = 0;
-  u64 demote_blocks = 0;
-  u64 drop_blocks = 0;
-  u64 evict_blocks = 0;
-  u64 uncompressed_bytes = 0;
-  u64 compressed_bytes = 0;
-  u64 cpu_compress_ns = 0;
-  u64 cpu_decompress_ns = 0;
-  u64 lost_dirty_blocks = 0;
   // End-of-window occupancy and configuration (budgets sum across domains,
   // like the flash capacity they shadow).
   u64 resident_blocks = 0;
@@ -142,39 +129,7 @@ struct TierOutcome {
   u64 dirty_blocks = 0;
   u64 budget_bytes = 0;
 
-  [[nodiscard]] double hit_ratio() const {
-    const u64 total = hit_blocks + miss_blocks;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hit_blocks) /
-                            static_cast<double>(total);
-  }
-  [[nodiscard]] double compression_ratio() const {
-    return uncompressed_bytes == 0
-               ? 1.0
-               : static_cast<double>(compressed_bytes) /
-                     static_cast<double>(uncompressed_bytes);
-  }
-  void merge_add(const TierOutcome& o) {
-    active = active || o.active;
-    hit_blocks += o.hit_blocks;
-    miss_blocks += o.miss_blocks;
-    admit_blocks += o.admit_blocks;
-    bypass_blocks += o.bypass_blocks;
-    promote_blocks += o.promote_blocks;
-    destage_blocks += o.destage_blocks;
-    demote_blocks += o.demote_blocks;
-    drop_blocks += o.drop_blocks;
-    evict_blocks += o.evict_blocks;
-    uncompressed_bytes += o.uncompressed_bytes;
-    compressed_bytes += o.compressed_bytes;
-    cpu_compress_ns += o.cpu_compress_ns;
-    cpu_decompress_ns += o.cpu_decompress_ns;
-    lost_dirty_blocks += o.lost_dirty_blocks;
-    resident_blocks += o.resident_blocks;
-    resident_compressed_bytes += o.resident_compressed_bytes;
-    dirty_blocks += o.dirty_blocks;
-    budget_bytes += o.budget_bytes;
-  }
+  void merge_add(const TierOutcome& o);
 };
 
 // Per-tenant slice of the measurement window (RunConfig::num_tenants > 0).
@@ -192,7 +147,16 @@ struct TenantOutcome {
                       : static_cast<double>(hit_blocks) /
                             static_cast<double>(total);
   }
+  void merge_add(const TenantOutcome& o);
 };
+
+// One run's outcome. Fields fall in two groups: exact aggregates (counts,
+// stats deltas, histograms, ledgers), which merge_add() sums across shard
+// domains, and derived metrics (throughput, amplification, hit ratio,
+// latency summaries, the fault healthy/degraded split), which derive()
+// computes from the aggregates. derive() is the only place any derived
+// metric is computed; ClosedLoop::finish and engine::merge_results both
+// call it, so a serial run and a merged run share one definition.
 
 struct RunResult {
   double seconds = 0.0;
@@ -233,18 +197,17 @@ struct RunResult {
   FaultOutcome fault;
 
   // Background-rebuild outcome (inactive unless RunConfig::rebuild was
-  // set). Merged across shard domains by RebuildOutcome::merge_add.
+  // set).
   raid::RebuildOutcome rebuild;
 
   // Write-provenance ledger delta over the measurement window (empty unless
-  // RunConfig::provenance was set). Merged exactly across shard domains.
+  // RunConfig::provenance was set).
   obs::ProvenanceLedger provenance;
 
   // Op-span tracing outcome (inactive unless RunConfig::spans was set).
   obs::SpanOutcome spans;
 
   // Compressed-DRAM-tier outcome (inactive unless RunConfig::tier was set).
-  // Merged across shard domains by TierOutcome::merge_add.
   TierOutcome tier;
 
   // Epoch SLO watchdog outcome (inactive unless a watchdog observed this
@@ -282,6 +245,14 @@ struct RunResult {
     std::vector<DomainSlice> per_domain;
   };
   EngineInfo engine;
+
+  // Adds another domain's exact aggregates (every field above except the
+  // derived metrics, timeseries, slo and engine, which describe the merged
+  // run as a whole). Domains share one window length, so seconds is the
+  // larger of the two, not a sum.
+  void merge_add(const RunResult& o);
+  // Recomputes every derived metric from the exact aggregates.
+  void derive();
 };
 
 class Runner {

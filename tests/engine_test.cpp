@@ -2,6 +2,8 @@
 // for every REPRO_SHARDS/REPRO_THREADS combination), the epoch-barrier
 // quiescence invariant, deterministic delivery of fault and adapt events at
 // barriers, and the exactness of the per-domain merge.
+#include <array>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -13,6 +15,7 @@
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
+#include "fault/fault_injector.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
@@ -44,6 +47,8 @@ struct TestDomain {
   std::unique_ptr<obs::SpanTracer> spans;
   // Compressed DRAM tier (make_tier_domain only), interposed above the rig.
   std::unique_ptr<tier::TierCache> tier;
+  // Scripted fault injector (make_full_domain only).
+  std::unique_ptr<fault::FaultInjector> fault;
 
   TestDomain() = default;
   explicit TestDomain(const src::SrcConfig& c) : rig(c) {}
@@ -105,8 +110,9 @@ DomainSetup make_obs_domain(u32 index) {
 // the rig's cache, exactly as the bench harness wires it: the engine drives
 // the tier, the tier drives the SrcCache, and RunConfig::tier makes the
 // closed loop report the TierOutcome block.
-DomainSetup make_tier_domain(u32 index, policy::EvictionKind ev) {
-  DomainSetup s = make_test_domain(index);
+DomainSetup make_tier_domain(u32 index, policy::EvictionKind ev,
+                             u32 num_tenants = 0) {
+  DomainSetup s = make_test_domain(index, num_tenants);
   auto* holder = static_cast<TestDomain*>(s.owned.get());
   tier::TierConfig tc;
   tc.budget_bytes = 96 * kBlockSize;  // small: forces destaging + eviction
@@ -118,6 +124,26 @@ DomainSetup make_tier_domain(u32 index, policy::EvictionKind ev) {
       tc, holder->rig.cache.get(), holder->rig.cache.get());
   s.cache = holder->tier.get();
   s.cfg.tier = holder->tier.get();
+  return s;
+}
+
+// Most RunResult parts at once: the (RAID-5) rig behind the tier, two
+// tenants, and a fault plan that fails an SSD inside the window.
+DomainSetup make_full_domain(u32 index) {
+  DomainSetup s = make_tier_domain(index, policy::EvictionKind::kPaper,
+                                   /*num_tenants=*/2);
+  auto* holder = static_cast<TestDomain*>(s.owned.get());
+  holder->fault = std::make_unique<fault::FaultInjector>(
+      fault::FaultPlan::parse_or_die("at=ops:100 fail dev=ssd1"));
+  std::vector<blockdev::BlockDevice*> devs;
+  for (auto& d : holder->rig.ssds) devs.push_back(d.get());
+  holder->fault->attach_ssds(devs);
+  holder->fault->attach_primary(holder->rig.primary.get());
+  src::SrcCache* cache = holder->rig.cache.get();
+  holder->fault->set_failure_callback(
+      [cache](size_t ssd, sim::SimTime t) { cache->on_ssd_failure(ssd, t); });
+  cache->set_fault_ledger(&holder->fault->ledger());
+  s.cfg.fault = holder->fault.get();
   return s;
 }
 
@@ -273,6 +299,71 @@ TEST(ParallelEngine, MergeRecomputesDerivedMetrics) {
   EXPECT_DOUBLE_EQ(
       again.throughput_mbps,
       static_cast<double>(again.bytes) / 1e6 / again.seconds);
+}
+
+// --- one derivation ---------------------------------------------------------
+
+// ClosedLoop::finish and merge_results derive every metric through the same
+// RunResult::derive(), so merging one domain's result reproduces it byte for
+// byte: tier, tenants and the fault healthy/degraded split included.
+TEST(MergeResults, OneDomainMergeSerializesLikeItsPart) {
+  const DomainSetup s = make_full_domain(0);
+  const workload::RunResult r =
+      workload::Runner(s.cache, s.ssds).run(s.gens, s.cfg);
+  ASSERT_GT(r.fault.events_fired, 0u);
+  ASSERT_GE(r.fault.first_fault_s, 0.0);
+  ASSERT_GT(r.fault.degraded_bytes, 0u);
+  ASSERT_GT(r.tier.hit_blocks, 0u);
+  ASSERT_EQ(r.tenants.size(), 2u);
+  ASSERT_GT(r.tenants[1].ops, 0u);
+  EXPECT_EQ(workload::run_json("t", "r", engine::merge_results({r})),
+            workload::run_json("t", "r", r));
+}
+
+// engine.hpp: "1 reproduces the serial runner". One domain under the engine
+// (epoch barriers and all) serializes exactly like Runner::run on an
+// identical rig, once the engine's own partition block is removed.
+TEST(ParallelEngine, OneDomainReproducesTheSerialRunner) {
+  const DomainSetup s = make_full_domain(0);
+  const workload::RunResult serial =
+      workload::Runner(s.cache, s.ssds).run(s.gens, s.cfg);
+  ASSERT_GT(serial.fault.events_fired, 0u);
+  EngineResult e = ParallelEngine(EngineConfig{}).run(
+      1, [](u32 index, u32) { return make_full_domain(index); });
+  EXPECT_GT(e.epochs, 1u);
+  e.merged.engine = {};
+  EXPECT_EQ(workload::run_json("t", "r", e.merged),
+            workload::run_json("t", "r", serial));
+}
+
+// Fills every field of a stats struct (all u64 words, as the structs'
+// static_asserts pin) with seeded values.
+template <typename Stats>
+Stats seeded_stats(common::SplitMix64& rng) {
+  std::array<u64, sizeof(Stats) / sizeof(u64)> words{};
+  for (u64& w : words) w = rng.next();
+  Stats out;
+  std::memcpy(&out, words.data(), sizeof(Stats));
+  return out;
+}
+
+// (a += b) - b == a: a field missing from either operator breaks it.
+template <typename Stats>
+void expect_add_then_sub_is_identity(u64 seed) {
+  common::SplitMix64 rng(seed);
+  for (int i = 0; i < 64; ++i) {
+    const Stats a = seeded_stats<Stats>(rng);
+    const Stats b = seeded_stats<Stats>(rng);
+    Stats sum = a;
+    sum += b;
+    EXPECT_EQ(sum - b, a) << "draw " << i;
+  }
+}
+
+TEST(StatsAlgebra, AddThenSubtractIsIdentity) {
+  expect_add_then_sub_is_identity<blockdev::DeviceStats>(11);
+  expect_add_then_sub_is_identity<cache::CacheStats>(12);
+  expect_add_then_sub_is_identity<tier::TierStats>(13);
 }
 
 TEST(ParallelEngine, RejectsMisconfiguration) {

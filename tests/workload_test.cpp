@@ -11,7 +11,7 @@
 namespace srcache::workload {
 namespace {
 
-// --- FioGen ---------------------------------------------------------------------
+// --- FioGen -----------------------------------------------------------------
 
 TEST(FioGen, StaysInSpan) {
   FioGen::Config cfg;
@@ -78,7 +78,7 @@ TEST(FioGen, RejectsEmptySpan) {
   EXPECT_THROW(FioGen{cfg}, std::invalid_argument);
 }
 
-// --- Table 6 specs ----------------------------------------------------------------
+// --- Table 6 specs ----------------------------------------------------------
 
 TEST(TraceSpecs, GroupSizesMatchTable6) {
   EXPECT_EQ(traces_in_group(TraceGroup::kWrite).size(), 10u);
@@ -107,7 +107,7 @@ TEST(TraceSpecs, GroupCharacter) {
   EXPECT_LT(avg(TraceGroup::kMixed), avg(TraceGroup::kRead));
 }
 
-// --- TraceSynth -------------------------------------------------------------------
+// --- TraceSynth -------------------------------------------------------------
 
 TraceSynth::Config synth_cfg(const char* name = "test", double req_kb = 12.0,
                              int read_pct = 30) {
@@ -186,7 +186,7 @@ TEST(TraceSynth, RejectsEmptyFootprint) {
   EXPECT_THROW(TraceSynth{cfg}, std::invalid_argument);
 }
 
-// --- make_trace_set ---------------------------------------------------------------
+// --- make_trace_set ---------------------------------------------------------
 
 TEST(TraceSet, FootprintsPartitionTheSpace) {
   const TraceSet set = make_trace_set(TraceGroup::kWrite, 8 * GiB, 1);
@@ -216,7 +216,7 @@ TEST(TraceSet, GeneratorsViewMatches) {
   EXPECT_EQ(set.generators().size(), set.traces.size());
 }
 
-// --- Runner -----------------------------------------------------------------------
+// --- Runner -----------------------------------------------------------------
 
 // A trivial pass-through cache over a MemDisk for runner mechanics tests.
 class PassThroughCache final : public cache::CacheDevice {
