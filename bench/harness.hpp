@@ -6,43 +6,10 @@
 // pressure ratio (cache/working-set, OPS fraction, segments per SG);
 // REPRO_SECONDS (default 10) sets the measured virtual duration per point
 // (the paper measures 10 wall-clock minutes; virtual seconds only change
-// statistical noise, not the shape).
-//
-// Observability hooks:
-//   REPRO_JSON=<path>   also write every reported run (paper metrics,
-//                       latency percentiles, metrics-registry delta) as one
-//                       JSON document — see workload/report.hpp.
-//   REPRO_SPAN_SAMPLE=<rate in [0,1]>  head-sample that fraction of measured
-//                       ops into causal op-span trees (obs/span.hpp): the
-//                       sampled ops' full descent — cache lookup, segment
-//                       fill, reclaim, destage, RAID stripe strategy, per-die
-//                       NAND phases, backend fetch, iSCSI commands — plus
-//                       point events (errors, repairs, SSD failures) land in
-//                       the REPRO_JSON "spans" block. Deterministic per shard
-//                       domain: the merged aggregate is bit-identical across
-//                       REPRO_SHARDS/REPRO_THREADS.
-//   REPRO_TRACE=<path>  write engine domain 0's span tracer of each
-//                       run_group_sharded run as a Chrome trace-event
-//                       timeline (nested slices, flow arrows, instants).
-//                       Requires REPRO_SPAN_SAMPLE > 0.
-//   REPRO_SLO_MBPS / REPRO_SLO_READ_P99_MS / REPRO_SLO_WRITE_P99_MS /
-//   REPRO_SLO_MAX_DEGRADED / REPRO_SLO_BUDGET  arm the epoch SLO watchdog
-//                       (obs/slo.hpp) on engine-driven runs: each epoch
-//                       barrier is judged against the targets and the
-//                       verdicts land in the REPRO_JSON "slo" block
-//                       (inspect with tools/repro_report --slo).
-//   REPRO_FAULT_PLAN=<plan>  arm a scripted fault schedule (fault/
-//                       fault_plan.hpp syntax) on every engine domain of a
-//                       run_group_sharded bench; `replace`/`spare` actions
-//                       route to a per-domain background rebuild engine
-//                       (raid/rebuild.hpp) whose outcome lands in the
-//                       REPRO_JSON "rebuild" block.
-//   REPRO_REBUILD_MBPS / REPRO_REBUILD_SPARES  rate-limit the background
-//                       reconstruction stream / size the hot-spare pool.
+// statistical noise, not the shape). Every REPRO_* knob, its range and its
+// default are defined once, in knobs.hpp (reference: EXPERIMENTS.md).
 #pragma once
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -71,58 +38,9 @@
 #include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
+#include "knobs.hpp"
+
 namespace srcache::bench {
-
-// Strict env-knob parsing: a typo'd REPRO_SCALE=0,5 or REPRO_SECONDS=10x
-// must abort with a clear message, not silently run the wrong experiment
-// (atof would read them as 0 and 10). The whole value must parse as a finite
-// number within [lo, hi].
-inline double env_knob(const char* name, double fallback, double lo,
-                       double hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || !std::isfinite(v) || v < lo ||
-      v > hi) {
-    std::fprintf(stderr,
-                 "%s=\"%s\" is not a number in [%g, %g]; "
-                 "refusing to run with a misconfigured knob\n",
-                 name, s, lo, hi);
-    std::exit(2);
-  }
-  return v;
-}
-
-// Integer variant of env_knob, same philosophy: the whole value must parse
-// as an integer in [lo, hi] or the bench refuses to run.
-inline u32 env_knob_u32(const char* name, u32 fallback, u32 lo, u32 hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < static_cast<long>(lo) ||
-      v > static_cast<long>(hi)) {
-    std::fprintf(stderr,
-                 "%s=\"%s\" is not an integer in [%u, %u]; "
-                 "refusing to run with a misconfigured knob\n",
-                 name, s, lo, hi);
-    std::exit(2);
-  }
-  return static_cast<u32>(v);
-}
-
-inline double scale() {
-  static const double k = env_knob("REPRO_SCALE", 0.25, 1e-3, 64.0);
-  return k;
-}
-
-inline sim::SimTime run_duration() {
-  static const double secs = env_knob("REPRO_SECONDS", 10.0, 1e-3, 86400.0);
-  return static_cast<sim::SimTime>(secs * 1e9);
-}
 
 // Borrowed raw pointers over an owning SSD vector (shared by all rigs).
 inline std::vector<blockdev::BlockDevice*> borrow_ssds(
@@ -135,277 +53,13 @@ inline std::vector<blockdev::BlockDevice*> borrow_ssds(
 
 // --- machine-readable output (REPRO_JSON) ----------------------------------
 
-inline const char* repro_json_path() { return std::getenv("REPRO_JSON"); }
-inline const char* repro_trace_path() { return std::getenv("REPRO_TRACE"); }
-
-// REPRO_TIMESERIES_MS=<virtual ms> turns on fixed-interval sampling of every
-// measured run; the per-interval series (throughput, hit ratio, GC, per-
-// resource utilization) are embedded in the REPRO_JSON document (v2 schema)
-// and exportable as CSV via tools/repro_report. 0/unset = off.
-inline sim::SimTime repro_timeseries_interval() {
-  static const double ms = env_knob("REPRO_TIMESERIES_MS", 0.0, 0.0, 1e9);
-  return static_cast<sim::SimTime>(ms * 1e6);
-}
-
-// Multi-tenant knobs (bench_multitenant): adaptive-partition epoch length
-// and the SHARDS spatial sampling rate of the per-tenant MRC profilers.
-inline sim::SimTime repro_epoch() {
-  static const double ms = env_knob("REPRO_EPOCH_MS", 1000.0, 1.0, 1e9);
-  return static_cast<sim::SimTime>(ms * 1e6);
-}
-
-inline double repro_shards_rate() {
-  static const double r = env_knob("REPRO_SHARDS_RATE", 0.1, 1e-4, 1.0);
-  return r;
-}
-
-// Sharded-engine execution knobs (src/engine). REPRO_SHARDS sets how many
-// execution lanes run the fixed domain partition concurrently; REPRO_THREADS
-// caps the worker pool (0 = min(lanes, hardware threads)). Both change only
-// wall-clock behaviour — the deterministic parts of REPRO_JSON are
-// bit-identical across every shards/threads combination.
-inline u32 repro_shards() {
-  static const u32 n = env_knob_u32("REPRO_SHARDS", 1, 1, 256);
-  return n;
-}
-
-inline u32 repro_threads() {
-  static const u32 n = env_knob_u32("REPRO_THREADS", 0, 0, 256);
-  return n;
-}
-
-// Op-span head-sampling rate (REPRO_SPAN_SAMPLE). 0 = tracing off. The draw
-// happens once per measured op in issue order (obs::SpanTracer), so the rate
-// changes only how many ops are recorded, never the simulated outcome.
-inline double repro_span_sample() {
-  static const double r = env_knob("REPRO_SPAN_SAMPLE", 0.0, 0.0, 1.0);
-  return r;
-}
-
-// Replacement/admission selection (REPRO_POLICY / REPRO_ADMIT): which
-// eviction scheme GC consults for clean blocks and whether read-miss fills
-// are gated on reuse evidence (src/policy). Same strictness as the numeric
-// knobs — a misspelled policy name must abort, not silently run the paper
-// default and pollute a bake-off.
-inline policy::EvictionKind repro_policy() {
-  static const policy::EvictionKind k = [] {
-    const char* s = std::getenv("REPRO_POLICY");
-    if (s == nullptr || *s == '\0') return policy::EvictionKind::kPaper;
-    const auto parsed = policy::parse_eviction(s);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "REPRO_POLICY=\"%s\" is not one of {paper, s3fifo, "
-                   "sieve}; refusing to run with a misconfigured knob\n",
-                   s);
-      std::exit(2);
-    }
-    return *parsed;
-  }();
-  return k;
-}
-
-inline policy::AdmissionKind repro_admit() {
-  static const policy::AdmissionKind k = [] {
-    const char* s = std::getenv("REPRO_ADMIT");
-    if (s == nullptr || *s == '\0') return policy::AdmissionKind::kAlways;
-    const auto parsed = policy::parse_admission(s);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "REPRO_ADMIT=\"%s\" is not one of {always, ghost}; "
-                   "refusing to run with a misconfigured knob\n",
-                   s);
-      std::exit(2);
-    }
-    return *parsed;
-  }();
-  return k;
-}
-
-// Compressed-DRAM-tier knobs (src/tier). REPRO_TIER_MB=0 (the default)
-// runs without a tier; >0 fronts every engine domain's SRC stack with a
-// compressed DRAM cache whose budgets sum to that many MiB across the
-// domain partition. The dependent knobs select the tier's eviction policy,
-// its dirty-share bound and the simulated compressor's per-byte CPU charge;
-// setting any of them without REPRO_TIER_MB aborts (validate_repro_knobs)
-// because the run would silently ignore them.
-inline u32 repro_tier_mb() {
-  static const u32 n = env_knob_u32("REPRO_TIER_MB", 0, 0, 1u << 20);
-  return n;
-}
-
-inline policy::EvictionKind repro_tier_policy() {
-  static const policy::EvictionKind k = [] {
-    const char* s = std::getenv("REPRO_TIER_POLICY");
-    if (s == nullptr || *s == '\0') return policy::EvictionKind::kPaper;
-    const auto parsed = policy::parse_eviction(s);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "REPRO_TIER_POLICY=\"%s\" is not one of {paper, s3fifo, "
-                   "sieve}; refusing to run with a misconfigured knob\n",
-                   s);
-      std::exit(2);
-    }
-    return *parsed;
-  }();
-  return k;
-}
-
-inline u32 repro_tier_dirty_pct() {
-  static const u32 n = env_knob_u32("REPRO_TIER_DIRTY_PCT", 50, 0, 100);
-  return n;
-}
-
-inline double repro_tier_cpu_nspb() {
-  static const double r = env_knob("REPRO_TIER_CPU_NSPB", 1.0, 0.0, 1000.0);
-  return r;
-}
-
-// Scripted fault schedule (REPRO_FAULT_PLAN, fault/fault_plan.hpp syntax),
-// armed per engine domain by run_group_sharded. nullptr = no faults.
-inline const char* repro_fault_plan() {
-  const char* s = std::getenv("REPRO_FAULT_PLAN");
-  return (s == nullptr || *s == '\0') ? nullptr : s;
-}
-
-// Background-rebuild knobs (raid/rebuild.hpp): the reconstruction copy rate
-// limit and the initial hot-spare pool. Parsed with the same strictness as
-// every other knob — REPRO_REBUILD_MBPS=-1 must abort, not silently rebuild
-// at the default rate.
-inline double repro_rebuild_mbps() {
-  static const double r = env_knob("REPRO_REBUILD_MBPS", 256.0, 1e-3, 1e6);
-  return r;
-}
-
-inline u32 repro_rebuild_spares() {
-  static const u32 n = env_knob_u32("REPRO_REBUILD_SPARES", 1, 0, 255);
-  return n;
-}
-
-// Epoch SLO watchdog targets (REPRO_SLO_*). Unset targets stay disarmed;
-// policy.any() == false means no watchdog hook is installed at all.
-inline obs::SloPolicy repro_slo_policy() {
-  obs::SloPolicy p;
-  p.min_throughput_mbps = env_knob("REPRO_SLO_MBPS", 0.0, 0.0, 1e9);
-  p.max_read_p99_ms = env_knob("REPRO_SLO_READ_P99_MS", 0.0, 0.0, 1e9);
-  p.max_write_p99_ms = env_knob("REPRO_SLO_WRITE_P99_MS", 0.0, 0.0, 1e9);
-  if (std::getenv("REPRO_SLO_MAX_DEGRADED") != nullptr) {
-    p.max_degraded_domains = static_cast<i32>(
-        env_knob_u32("REPRO_SLO_MAX_DEGRADED", 0, 0, 256));
-  }
-  p.error_budget = env_knob("REPRO_SLO_BUDGET", 0.1, 0.0, 1.0);
-  return p;
-}
-
-// Knob-interaction validation, run once from print_header() before any
-// experiment starts. Each individual knob already fails fast on a malformed
-// value (env_knob); this catches combinations that would silently produce a
-// useless run — better to refuse than to burn minutes and emit nothing.
-inline void validate_repro_knobs() {
-  const char* json = repro_json_path();
-  const char* trace = repro_trace_path();
-  if (repro_timeseries_interval() > 0 && json == nullptr) {
-    std::fprintf(stderr,
-                 "REPRO_TIMESERIES_MS is set but REPRO_JSON is not: the "
-                 "sampled series are only emitted into the JSON document, so "
-                 "this run would sample and then discard everything. Set "
-                 "REPRO_JSON=<path> or unset REPRO_TIMESERIES_MS.\n");
-    std::exit(2);
-  }
-  if (trace != nullptr && repro_span_sample() <= 0.0) {
-    std::fprintf(stderr,
-                 "REPRO_TRACE is set but REPRO_SPAN_SAMPLE is 0/unset: the "
-                 "trace is domain 0's sampled op-span trees, so this run "
-                 "would write an empty timeline. Set REPRO_SPAN_SAMPLE>0 or "
-                 "unset REPRO_TRACE.\n");
-    std::exit(2);
-  }
-  if (json != nullptr && trace != nullptr &&
-      std::string(json) == std::string(trace)) {
-    std::fprintf(stderr,
-                 "REPRO_JSON and REPRO_TRACE point at the same file (%s); "
-                 "the two outputs would overwrite each other.\n",
-                 json);
-    std::exit(2);
-  }
-  if (repro_timeseries_interval() > run_duration()) {
-    std::fprintf(stderr,
-                 "REPRO_TIMESERIES_MS (%.0f ms) exceeds the measurement "
-                 "window REPRO_SECONDS (%.3g s): not a single interval would "
-                 "close. Lower the interval or lengthen the run.\n",
-                 static_cast<double>(repro_timeseries_interval()) / 1e6,
-                 sim::to_seconds(run_duration()));
-    std::exit(2);
-  }
-  // Force both engine knobs through strict parsing even when unused, and
-  // catch combinations that would silently under-deliver: REPRO_THREADS
-  // without parallel lanes does nothing, and more threads than lanes can
-  // never all be busy — both almost certainly mean a mistyped knob.
-  const u32 shards = repro_shards();
-  const u32 threads = repro_threads();
-  if (threads > 0 && shards == 1) {
-    std::fprintf(stderr,
-                 "REPRO_THREADS=%u with REPRO_SHARDS=1: a single execution "
-                 "lane cannot use a thread pool. Set REPRO_SHARDS>1 or unset "
-                 "REPRO_THREADS.\n",
-                 threads);
-    std::exit(2);
-  }
-  if (threads > shards) {
-    std::fprintf(stderr,
-                 "REPRO_THREADS=%u exceeds REPRO_SHARDS=%u: extra threads "
-                 "would sit idle. Lower REPRO_THREADS or raise "
-                 "REPRO_SHARDS.\n",
-                 threads, shards);
-    std::exit(2);
-  }
-  // Force the observability knobs through strict parsing up front: a typo'd
-  // REPRO_SPAN_SAMPLE or REPRO_SLO_* must abort before any experiment runs,
-  // not silently trace nothing.
-  (void)repro_span_sample();
-  (void)repro_slo_policy();
-  (void)repro_policy();
-  (void)repro_admit();
-  (void)repro_rebuild_mbps();
-  (void)repro_rebuild_spares();
-  // Tier knobs: force strict parsing, then refuse dependent knobs that a
-  // tier-less run would silently ignore — a bake-off that thinks it swept
-  // REPRO_TIER_POLICY but never enabled the tier is worse than no run.
-  (void)repro_tier_policy();
-  (void)repro_tier_dirty_pct();
-  (void)repro_tier_cpu_nspb();
-  if (repro_tier_mb() == 0) {
-    for (const char* dep :
-         {"REPRO_TIER_POLICY", "REPRO_TIER_DIRTY_PCT", "REPRO_TIER_CPU_NSPB"}) {
-      if (std::getenv(dep) != nullptr) {
-        std::fprintf(stderr,
-                     "%s is set but REPRO_TIER_MB is 0/unset: the compressed "
-                     "DRAM tier is disabled, so the knob would be silently "
-                     "ignored. Set REPRO_TIER_MB>0 or unset %s.\n",
-                     dep, dep);
-        std::exit(2);
-      }
-    }
-  }
-  // A malformed fault plan must abort before any experiment runs, with the
-  // parser's message naming the offending clause.
-  if (repro_fault_plan() != nullptr) {
-    const auto plan = fault::FaultPlan::parse(repro_fault_plan());
-    if (!plan.is_ok()) {
-      std::fprintf(stderr,
-                   "REPRO_FAULT_PLAN: %s; refusing to run with a "
-                   "misconfigured knob\n",
-                   plan.status().to_string().c_str());
-      std::exit(2);
-    }
-  }
-}
-
 // Writes a Chrome trace-event JSON document to REPRO_TRACE.
 inline void write_chrome_trace_json(const std::string& json) {
-  std::FILE* f = std::fopen(repro_trace_path(), "w");
+  const char* path = knob_path("REPRO_TRACE");
+  std::FILE* f = std::fopen(path, "w");
   if (f == nullptr ||
       std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
-    std::fprintf(stderr, "REPRO_TRACE: cannot write %s\n", repro_trace_path());
+    std::fprintf(stderr, "REPRO_TRACE: cannot write %s\n", path);
   }
   if (f != nullptr) std::fclose(f);
 }
@@ -421,10 +75,11 @@ inline workload::ReproReport& json_report() {
 // interrupted bench still leaves valid JSON behind.
 inline void report_run(const char* bench, const std::string& name,
                        const workload::RunResult& r) {
-  if (repro_json_path() == nullptr) return;
+  const char* path = knob_path("REPRO_JSON");
+  if (path == nullptr) return;
   json_report().add(bench, name, r);
-  if (!json_report().write_file(repro_json_path()))
-    std::fprintf(stderr, "REPRO_JSON: cannot write %s\n", repro_json_path());
+  if (!json_report().write_file(path))
+    std::fprintf(stderr, "REPRO_JSON: cannot write %s\n", path);
 }
 
 // Paper geometry scaled: erase group, chunk, 18-SG cache region.
@@ -454,7 +109,8 @@ inline flash::SsdSpec sized_spec(flash::SsdSpec s, u64 capacity_bytes,
                                  double k = scale()) {
   s.capacity_bytes = capacity_bytes;
   const u64 target_eg = std::max<u64>(
-      8 * MiB, static_cast<u64>(static_cast<double>(s.erase_group_bytes()) * k));
+      8 * MiB,
+      static_cast<u64>(static_cast<double>(s.erase_group_bytes()) * k));
   u64 ppb = target_eg / (static_cast<u64>(s.units) * kBlockSize);
   // Power-of-two pages per block, at least 64 (256 KiB flash blocks).
   u64 rounded = 64;
@@ -531,7 +187,8 @@ inline std::unique_ptr<SrcRig> make_src_rig(
   cfg.twait = 10 * sim::kMs;     // see EXPERIMENTS.md (paper: 20 us)
   if (cfg_tweak) cfg_tweak(cfg, rig->geo);
 
-  const flash::SsdSpec spec = sized_spec(base_spec, rig->geo.ssd_capacity_bytes);
+  const flash::SsdSpec spec =
+      sized_spec(base_spec, rig->geo.ssd_capacity_bytes);
   for (u32 i = 0; i < cfg.num_ssds; ++i) {
     rig->ssds.push_back(
         std::make_unique<flash::SimSsd>(spec, /*track_content=*/false));
@@ -552,8 +209,8 @@ inline src::SrcConfig default_src_config() {
   src::SrcConfig cfg;  // paper defaults (Table 7 bold entries)
   // Benches pass this config into make_src_rig / run_group_sharded, so the
   // knob-selected policies propagate into every engine domain's stack.
-  cfg.eviction = repro_policy();
-  cfg.admission = repro_admit();
+  cfg.eviction = static_cast<policy::EvictionKind>(knob("REPRO_POLICY"));
+  cfg.admission = static_cast<policy::AdmissionKind>(knob("REPRO_ADMIT"));
   return cfg;
 }
 
@@ -693,7 +350,7 @@ inline workload::RunResult run_engine_sharded(
     }
   });
 
-  const obs::SloPolicy policy = repro_slo_policy();
+  const obs::SloPolicy policy = slo_policy(knobs());
   std::shared_ptr<obs::SloWatchdog> watchdog;
   if (policy.any()) {
     watchdog = std::make_shared<obs::SloWatchdog>(policy);
@@ -738,7 +395,7 @@ inline workload::RunResult run_engine_sharded(
                 er.merged.slo.breached ? "BREACHED" : "ok");
   }
 
-  if (repro_json_path() != nullptr) {
+  if (knob_path("REPRO_JSON") != nullptr) {
     json_report().set_perf_config(er.shards, er.threads);
     workload::PerfRun pr;
     pr.bench = bench;
@@ -778,7 +435,7 @@ inline workload::RunResult run_group_sharded(
     const std::function<void(src::SrcConfig&, const Geometry&)>& cfg_tweak =
         {}) {
   const double dk = k / kEngineDomains;
-  const bool want_trace = repro_trace_path() != nullptr;
+  const bool want_trace = knob_path("REPRO_TRACE") != nullptr;
   const u64 tier_bytes =
       (tier_mb < 0 ? static_cast<u64>(repro_tier_mb())
                    : static_cast<u64>(tier_mb)) *
@@ -824,23 +481,23 @@ inline workload::RunResult run_group_sharded(
       s.cache = holder->tier.get();
       s.cfg.tier = holder->tier.get();
     }
-    if (repro_span_sample() > 0.0) {
+    if (knob("REPRO_SPAN_SAMPLE") > 0.0) {
       s.cfg.spans = &enable_spans(*holder->rig,
                                   common::SplitMix64(dseed).next(),
-                                  repro_span_sample());
+                                  knob("REPRO_SPAN_SAMPLE"));
     }
-    if (repro_fault_plan() != nullptr) {
+    if (knob_path("REPRO_FAULT_PLAN") != nullptr) {
       // Scripted faults per domain: the plan syntax was validated up front
       // (validate_repro_knobs); the domain seed feeds the plan's RNG so
       // seeded-random corruption picks differ (but are fixed) per domain.
       holder->fault = std::make_unique<fault::FaultInjector>(
-          fault::FaultPlan::parse_or_die(repro_fault_plan(), dseed));
+          fault::FaultPlan::parse_or_die(knob_path("REPRO_FAULT_PLAN"), dseed));
       holder->fault->attach_ssds(holder->rig->ssd_ptrs());
       holder->fault->attach_primary(holder->rig->primary.get());
 
       raid::RebuildConfig rbc;
-      rbc.mbps = repro_rebuild_mbps();
-      rbc.spares = repro_rebuild_spares();
+      rbc.mbps = knob("REPRO_REBUILD_MBPS");
+      rbc.spares = knob_u32("REPRO_REBUILD_SPARES");
       holder->rebuild =
           std::make_unique<raid::RebuildManager>(rbc, holder->rig->ssd_ptrs());
       src::SrcCache* cache = holder->rig->cache.get();
@@ -930,9 +587,9 @@ inline workload::RunResult run_baseline_group_sharded(
     s.cfg.duration = run_duration();
     s.cfg.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
     s.cfg.timeseries_interval = repro_timeseries_interval();
-    if (repro_span_sample() > 0.0) {
+    if (knob("REPRO_SPAN_SAMPLE") > 0.0) {
       holder->rig->spans = std::make_unique<obs::SpanTracer>(
-          common::SplitMix64(dseed).next(), repro_span_sample());
+          common::SplitMix64(dseed).next(), knob("REPRO_SPAN_SAMPLE"));
       holder->rig->raid5->set_span(holder->rig->spans.get());
       for (size_t i = 0; i < holder->rig->ssds.size(); ++i)
         holder->rig->ssds[i]->set_span(holder->rig->spans.get(),
@@ -950,23 +607,13 @@ inline void print_header(const char* experiment, const char* paper_ref) {
   validate_repro_knobs();
   std::printf("=== %s ===\n", experiment);
   std::printf("reproduces: %s\n", paper_ref);
-  std::printf("scale=%.3g (REPRO_SCALE), duration=%.3gs virtual (REPRO_SECONDS)\n",
-              scale(), sim::to_seconds(run_duration()));
-  if (repro_shards() > 1) {
-    std::printf("shards=%u (REPRO_SHARDS), threads=%u (REPRO_THREADS, 0=auto)\n",
-                repro_shards(), repro_threads());
-  }
-  if (repro_span_sample() > 0.0) {
-    std::printf("span_sample=%.3g (REPRO_SPAN_SAMPLE)\n", repro_span_sample());
-  }
-  if (repro_tier_mb() > 0) {
-    std::printf(
-        "tier=%u MiB (REPRO_TIER_MB), policy=%s (REPRO_TIER_POLICY), "
-        "dirty<=%u%% (REPRO_TIER_DIRTY_PCT), cpu=%.3g ns/B "
-        "(REPRO_TIER_CPU_NSPB)\n",
-        repro_tier_mb(), policy::to_string(repro_tier_policy()),
-        repro_tier_dirty_pct(), repro_tier_cpu_nspb());
-  }
+  std::printf("scale=%.3g, duration=%.3gs virtual\n", scale(),
+              sim::to_seconds(run_duration()));
+  std::string set;
+  for (size_t i = 0; i < kNumKnobs; ++i)
+    if (knobs().on(i))
+      set += " " + std::string(kKnobs[i].name) + "=" + knobs().text[i];
+  if (!set.empty()) std::printf("knobs:%s\n", set.c_str());
   std::printf("\n");
 }
 
