@@ -16,29 +16,34 @@ int main() {
   common::Table t(
       {"Scheme", "RAID-0", "RAID-1", "RAID-4", "RAID-5", "(MB/s)"});
 
+  const struct {
+    raid::RaidLevel level;
+    const char* name;
+  } levels[] = {{raid::RaidLevel::kRaid0, "RAID-0"},
+                {raid::RaidLevel::kRaid1, "RAID-1"},
+                {raid::RaidLevel::kRaid4, "RAID-4"},
+                {raid::RaidLevel::kRaid5, "RAID-5"}};
   for (const char* scheme : {"Bcache", "Flashcache"}) {
     std::vector<std::string> row = {scheme};
-    for (auto level : {raid::RaidLevel::kRaid0, raid::RaidLevel::kRaid1,
-                       raid::RaidLevel::kRaid4, raid::RaidLevel::kRaid5}) {
-      std::unique_ptr<BaselineRig> rig;
-      if (scheme[0] == 'B') {
-        rig = make_bcache5_rig(flash::spec_840pro_128(), k, level);
-        static_cast<baselines::BcacheLike*>(rig->cache.get());
-      } else {
-        rig = make_flashcache5_rig(flash::spec_840pro_128(), k, level);
-      }
+    for (const auto& l : levels) {
+      const std::unique_ptr<BaselineRig> rig =
+          scheme[0] == 'B'
+              ? make_bcache5_rig(flash::spec_840pro_128(), k, l.level)
+              : make_flashcache5_rig(flash::spec_840pro_128(), k, l.level);
       workload::FioGen::Config fc;
       fc.span_blocks = 2 * baseline_cache_blocks(*rig);
       fc.req_blocks = 1;
       fc.read_pct = 0;
       fc.seed = 11;
       workload::FioGen gen(fc);
-      workload::Runner runner(rig->cache.get(), rig->ssd_ptrs());
       workload::RunConfig rc;
       rc.threads_per_gen = 4;
       rc.iodepth = 32;
       rc.duration = run_duration();
-      const auto res = runner.run({&gen}, rc);
+      const workload::RunResult res =
+          engine::run_one({rig->cache.get(), rig->ssd_ptrs(), {&gen}, rc});
+      report_run("bench_fig1_baseline_raid",
+                 std::string(scheme) + "/" + l.name, res);
       row.push_back(common::Table::num(res.throughput_mbps, 1));
     }
     t.add_row(std::move(row));

@@ -96,7 +96,8 @@ void BM_RegistrySnapshot(benchmark::State& state) {
 BENCHMARK(BM_RegistrySnapshot);
 
 // Per-request cost of the latency recorder (the only per-op instrumentation
-// the Runner adds) — a couple of branches and a histogram bucket increment.
+// the closed loop adds) — a couple of branches and a histogram bucket
+// increment.
 void BM_LatencyRecord(benchmark::State& state) {
   obs::LatencyRecorder rec;
   common::Xoshiro256 rng(5);

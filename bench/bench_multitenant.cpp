@@ -148,8 +148,8 @@ int main() {
       rig->cache->set_tenant_quotas({t0, cap - t0});
     }
 
-    workload::Runner runner(rig->cache.get(), rig->ssd_ptrs());
-    const workload::RunResult res = runner.run({w.mix.get()}, rc);
+    const workload::RunResult res = engine::run_one(
+        {rig->cache.get(), rig->ssd_ptrs(), {w.mix.get()}, rc});
 
     const double t0_final_share =
         adaptive && !res.tenants.empty()

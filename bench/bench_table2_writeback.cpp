@@ -11,20 +11,22 @@ using namespace srcache::bench;
 
 namespace {
 
-double run_fio_write(cache::CacheDevice* cache,
-                     std::vector<blockdev::BlockDevice*> ssds, u64 span_blocks) {
+// Runs FIO 4K uniform-random writes and reports the run as `name`.
+double run_fio_write(const std::string& name, cache::CacheDevice* cache,
+                     blockdev::BlockDevice* ssd, u64 span_blocks) {
   workload::FioGen::Config fc;
   fc.span_blocks = span_blocks;
   fc.req_blocks = 1;  // 4 KiB
   fc.read_pct = 0;
   fc.seed = 7;
   workload::FioGen gen(fc);
-  workload::Runner runner(cache, std::move(ssds));
   workload::RunConfig rc;
   rc.threads_per_gen = 4;  // FIO: 4 threads x iodepth 32
   rc.iodepth = 32;
   rc.duration = run_duration();
-  return runner.run({&gen}, rc).throughput_mbps;
+  const workload::RunResult res = engine::run_one({cache, {ssd}, {&gen}, rc});
+  report_run("bench_table2_writeback", name, res);
+  return res.throughput_mbps;
 }
 
 }  // namespace
@@ -47,6 +49,7 @@ int main() {
   } rows[2] = {{"Bcache"}, {"Flashcache"}};
 
   for (bool write_back : {false, true}) {
+    const std::string mode = write_back ? "/WB" : "/WT";
     {
       auto ssd = std::make_unique<flash::SimSsd>(spec, false);
       ssd->precondition();
@@ -55,7 +58,8 @@ int main() {
       cfg.cache_blocks = cache_blocks;
       cfg.write_back = write_back;
       baselines::BcacheLike cache(cfg, ssd.get(), primary.get());
-      const double mbps = run_fio_write(&cache, {ssd.get()}, span);
+      const double mbps =
+          run_fio_write(rows[0].name + mode, &cache, ssd.get(), span);
       (write_back ? rows[0].wb : rows[0].wt) = mbps;
     }
     {
@@ -66,7 +70,8 @@ int main() {
       cfg.cache_blocks = cache_blocks;
       cfg.write_back = write_back;
       baselines::FlashcacheLike cache(cfg, ssd.get(), primary.get());
-      const double mbps = run_fio_write(&cache, {ssd.get()}, span);
+      const double mbps =
+          run_fio_write(rows[1].name + mode, &cache, ssd.get(), span);
       (write_back ? rows[1].wb : rows[1].wt) = mbps;
     }
   }

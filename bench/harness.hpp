@@ -492,49 +492,24 @@ inline workload::RunResult run_group_sharded(
       // seeded-random corruption picks differ (but are fixed) per domain.
       holder->fault = std::make_unique<fault::FaultInjector>(
           fault::FaultPlan::parse_or_die(knob_path("REPRO_FAULT_PLAN"), dseed));
-      holder->fault->attach_ssds(holder->rig->ssd_ptrs());
-      holder->fault->attach_primary(holder->rig->primary.get());
-
       raid::RebuildConfig rbc;
       rbc.mbps = knob("REPRO_REBUILD_MBPS");
       rbc.spares = knob_u32("REPRO_REBUILD_SPARES");
       holder->rebuild =
           std::make_unique<raid::RebuildManager>(rbc, holder->rig->ssd_ptrs());
-      src::SrcCache* cache = holder->rig->cache.get();
-      raid::RebuildManager* mgr = holder->rebuild.get();
-      // SRC-aware reconstruction: the cache exports its live-segment map as
-      // the extent source (trimmed/invalid stripes are skipped), diverts
-      // reads of still-blank replacement blocks to the repair path, and
-      // drops-and-counts blocks a second failure makes unrecoverable.
-      mgr->set_extent_source(
-          [cache](size_t dev) { return cache->rebuild_extents(dev); });
-      mgr->set_abort_callback(
-          [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost,
-                  sim::SimTime t) { cache->on_rebuild_lost(dev, lost, t); });
-      mgr->set_provenance(&cache->mutable_provenance());
-      mgr->set_fault_ledger(&holder->fault->ledger());
-      if (holder->rig->spans) mgr->set_span(holder->rig->spans.get());
-      cache->set_rebuild(mgr);
-      holder->fault->set_failure_callback(
-          [cache, mgr](size_t dev, sim::SimTime t) {
-            cache->on_ssd_failure(dev, t);
-            mgr->on_device_failed(dev, t);
-          });
-      holder->fault->set_replace_callback([mgr](size_t dev, sim::SimTime t) {
-        mgr->on_device_replaced(dev, t);
-      });
-      holder->fault->set_spare_callback([mgr](u32 n) { mgr->add_spares(n); });
+      holder->rig->cache->attach_faults(*holder->fault, holder->rebuild.get());
       if (holder->tier) {
-        // DRAM vanishes at a power cut: dirty tier blocks are counted lost
-        // and ledgered as injected+detected data loss, never silently
-        // dropped (tier::TierCache::on_power_cut).
+        // The tier sits above the cache, so its hookup is made here. DRAM
+        // vanishes at a power cut: dirty tier blocks are counted lost and
+        // ledgered as injected+detected data loss, never silently dropped
+        // (tier::TierCache::on_power_cut).
         holder->tier->set_fault_ledger(&holder->fault->ledger());
         tier::TierCache* tcache = holder->tier.get();
         holder->fault->set_powercut_callback(
             [tcache](sim::SimTime t) { tcache->on_power_cut(t); });
       }
       s.cfg.fault = holder->fault.get();
-      s.cfg.rebuild = mgr;
+      s.cfg.rebuild = holder->rebuild.get();
     }
     // One domain's worth of timeline is what a Chrome trace can usefully
     // show; domain 0 is the deterministic choice.

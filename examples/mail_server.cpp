@@ -6,11 +6,11 @@
 #include <memory>
 
 #include "baselines/bcache_like.hpp"
+#include "engine/engine.hpp"
 #include "flash/sim_ssd.hpp"
 #include "hdd/iscsi_target.hpp"
 #include "raid/raid_device.hpp"
 #include "src_cache/src_cache.hpp"
-#include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
 using namespace srcache;
@@ -41,13 +41,12 @@ struct Outcome {
 Outcome run(cache::CacheDevice* cache,
             std::vector<blockdev::BlockDevice*> ssds) {
   workload::TraceSynth trace(exchange_profile());
-  workload::Runner runner(cache, std::move(ssds));
   workload::RunConfig rc;
   rc.threads_per_gen = 4;
   rc.iodepth = 4;
   rc.duration = 5 * sim::kSec;
   rc.warmup_bytes = 2 * GiB;
-  const auto res = runner.run({&trace}, rc);
+  const auto res = engine::run_one({cache, std::move(ssds), {&trace}, rc});
   return {res.throughput_mbps, res.hit_ratio};
 }
 

@@ -4,15 +4,15 @@
 //   $ ./build/examples/quickstart
 //
 // This walks the whole public API surface: SSD specs, devices, SrcConfig,
-// SrcCache, the FIO-style generator and the Runner.
+// SrcCache, the FIO-style generator and a serial engine run.
 #include <cstdio>
 #include <memory>
 
+#include "engine/engine.hpp"
 #include "flash/sim_ssd.hpp"
 #include "hdd/iscsi_target.hpp"
 #include "src_cache/src_cache.hpp"
 #include "workload/generators.hpp"
-#include "workload/runner.hpp"
 
 using namespace srcache;
 
@@ -67,15 +67,16 @@ int main() {
   fio.seed = 42;
   workload::FioGen gen(fio);
 
-  workload::Runner runner(&cache, ssd_ptrs);
+  // 5. Replay it closed-loop as one simulation domain on this thread.
   workload::RunConfig rc;
   rc.threads_per_gen = 4;
   rc.iodepth = 8;
   rc.duration = 5 * sim::kSec;
   rc.warmup_bytes = 6 * GiB;  // fill the cache before measuring
-  const workload::RunResult res = runner.run({&gen}, rc);
+  const workload::RunResult res =
+      engine::run_one({&cache, ssd_ptrs, {&gen}, rc});
 
-  // 5. The gauges the paper reports.
+  // 6. The gauges the paper reports.
   std::printf("throughput:        %.1f MB/s\n", res.throughput_mbps);
   std::printf("hit ratio:         %.2f\n", res.hit_ratio);
   std::printf("I/O amplification: %.2f\n", res.io_amplification);

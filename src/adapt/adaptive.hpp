@@ -9,7 +9,7 @@
 // enforcement is the cache's job (admission gating plus GC steering), so a
 // shrinking tenant drains by attrition instead of an eviction storm.
 //
-// The driver (workload::Runner) calls observe() for every request and
+// The driver (workload::ClosedLoop) calls observe() for every request and
 // epoch_due()/run_epoch() at request boundaries; epochs are measured in
 // simulated time, anchored by set_epoch_start() at the measurement-window
 // start (mirroring how FaultInjector is anchored).

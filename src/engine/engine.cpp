@@ -313,4 +313,10 @@ EngineResult ParallelEngine::run(u32 num_domains,
   return out;
 }
 
+workload::RunResult run_one(DomainSetup setup) {
+  EngineResult r = ParallelEngine(EngineConfig{}).run(
+      1, [&setup](u32, u32) { return std::move(setup); });
+  return std::move(r.per_domain[0]);
+}
+
 }  // namespace srcache::engine

@@ -46,7 +46,8 @@ namespace srcache::engine {
 
 struct EngineConfig {
   // Execution lanes over the domain partition (REPRO_SHARDS). Lanes beyond
-  // the domain count idle; 1 reproduces the serial runner.
+  // the domain count idle; 1 runs the domains one after another on the
+  // caller's thread.
   u32 shards = 1;
   // Worker threads (REPRO_THREADS); 0 = min(lanes, hardware_concurrency).
   // Fewer threads than lanes just multiplexes lanes onto the pool.
@@ -64,7 +65,7 @@ struct DomainSetup {
   std::vector<blockdev::BlockDevice*> ssds;
   std::vector<workload::Generator*> gens;
   workload::RunConfig cfg;
-  std::shared_ptr<void> owned;
+  std::shared_ptr<void> owned = nullptr;
 };
 
 // Builds domain `index` of `count`. May run on a worker thread; factories
@@ -175,6 +176,13 @@ class ParallelEngine {
   EngineConfig cfg_;
   std::vector<EpochHook> hooks_;
 };
+
+// A serial run: `setup` as the one domain of ParallelEngine(EngineConfig{})
+// with no epoch hooks. One lane runs inline on the caller, so no thread is
+// started. Returns the domain's own result, which carries no engine block:
+// it serializes exactly like that domain's ClosedLoop driven straight
+// through.
+workload::RunResult run_one(DomainSetup setup);
 
 // Deterministic merge of per-domain results (exposed for tests). `parts`
 // must be index-ordered and share seconds/duration: a fold of

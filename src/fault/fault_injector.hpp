@@ -1,13 +1,14 @@
 // FaultInjector: arms a FaultPlan against a device stack and fires events
 // as virtual time / measured-op count advance.
 //
-// The injector is driven by workload::Runner (RunConfig::fault): before each
-// measured request it calls advance(now, ops), which fires every due event
+// The injector is driven by workload::ClosedLoop (RunConfig::fault): before
+// each measured request it calls advance(now, ops), which fires every due event
 // exactly once, in plan order. Effects go through the BlockDevice fault
 // hooks (fail/heal/corrupt/inject_media_errors/degrade_service), so any
 // simulated device participates; the SRC-specific reaction to a fail-stop
 // (drop unprotected blocks, §4.3) is delivered through an optional callback
-// so this layer stays independent of the cache.
+// so this layer stays independent of the cache (SrcCache::attach_faults
+// wires all of them).
 //
 // All bookkeeping flows into the FaultLedger; register_metrics() exports
 // fault.injected / fault.detected / fault.repaired / fault.undetected plus
@@ -47,8 +48,8 @@ class FaultInjector {
   // a callback the event is recorded but has no device effect).
   void set_powercut_callback(std::function<void(sim::SimTime)> cb);
 
-  // Triggers are relative to the measurement window; the runner sets the
-  // window start so plans read "2s into the measured run".
+  // Triggers are relative to the measurement window; the closed loop sets
+  // the window start so plans read "2s into the measured run".
   void set_epoch(sim::SimTime epoch) { epoch_ = epoch; }
 
   // Fires every due, not-yet-fired event. Returns true if any fired.

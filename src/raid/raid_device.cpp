@@ -36,12 +36,14 @@ const char* to_string(RaidLevel level) {
 RaidDevice::RaidDevice(const RaidConfig& cfg, std::vector<BlockDevice*> devices)
     : cfg_(cfg), devs_(std::move(devices)) {
   if (devs_.size() < 2) throw std::invalid_argument("RAID needs >= 2 devices");
-  if (cfg_.chunk_blocks == 0) throw std::invalid_argument("chunk_blocks must be > 0");
+  if (cfg_.chunk_blocks == 0)
+    throw std::invalid_argument("chunk_blocks must be > 0");
   if (cfg_.level == RaidLevel::kRaid1 && devs_.size() % 2 != 0) {
     throw std::invalid_argument("RAID-1 needs an even device count");
   }
   dev_blocks_ = devs_[0]->capacity_blocks();
-  for (auto* d : devs_) dev_blocks_ = std::min(dev_blocks_, d->capacity_blocks());
+  for (auto* d : devs_)
+    dev_blocks_ = std::min(dev_blocks_, d->capacity_blocks());
   // Round to whole stripes.
   dev_blocks_ -= dev_blocks_ % cfg_.chunk_blocks;
   const u64 n = devs_.size();
@@ -142,7 +144,8 @@ SimTime for_each_run(const std::vector<Cell>& cells, SimTime now, Fn&& fn) {
 
 }  // namespace
 
-IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
+IoResult RaidDevice::read(SimTime now, u64 lba, u32 n,
+                          std::span<u64> tags_out) {
   if (lba + n > capacity_blocks_) return {now, ErrorCode::kInvalidArgument};
   const u32 sp = (span_ != nullptr && span_->sampling())
                      ? span_->begin_span("raid.read", now)
@@ -168,8 +171,8 @@ IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) 
         any_dead = true;
         continue;  // handled in the reconstruction pass below
       }
-    } else if (cfg_.level == RaidLevel::kRaid1 && !devs_[loc.mirror]->failed() &&
-               (mirror_rr_++ & 1) != 0) {
+    } else if (cfg_.level == RaidLevel::kRaid1 &&
+               !devs_[loc.mirror]->failed() && (mirror_rr_++ & 1) != 0) {
       loc.dev = loc.mirror;  // balance reads across mirrors
     }
     cells.push_back({loc.dev, loc.off, 0, &tags_out[i]});
@@ -177,16 +180,20 @@ IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) 
   sort_cells(cells);
   std::vector<u64> buf;
   ErrorCode err = ErrorCode::kOk;
-  SimTime done = for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t first) {
-    buf.resize(cnt);
-    IoResult r = devs_[dev]->read(now, off, static_cast<u32>(cnt),
-                                  std::span<u64>(buf.data(), cnt));
-    if (!r.ok()) { err = r.error; return now; }
-    for (size_t k = 0; k < cnt; ++k) *cells[first + k].out = buf[k];
-    stats_.read_ops++;
-    stats_.read_blocks += cnt;
-    return r.done;
-  });
+  SimTime done = for_each_run(
+      cells, now, [&](size_t dev, u64 off, size_t cnt, size_t first) {
+        buf.resize(cnt);
+        IoResult r = devs_[dev]->read(now, off, static_cast<u32>(cnt),
+                                      std::span<u64>(buf.data(), cnt));
+        if (!r.ok()) {
+          err = r.error;
+          return now;
+        }
+        for (size_t k = 0; k < cnt; ++k) *cells[first + k].out = buf[k];
+        stats_.read_ops++;
+        stats_.read_blocks += cnt;
+        return r.done;
+      });
   if (err != ErrorCode::kOk) return finish({now, err});
 
   if (any_dead) {
@@ -225,7 +232,8 @@ Result<u64> RaidDevice::reconstruct_block(SimTime now, size_t dead_dev, u64 off,
   SimTime t = now;
   for (size_t d = 0; d < devs_.size(); ++d) {
     if (d == dead_dev) continue;
-    if (devs_[d]->failed()) return Status(ErrorCode::kDeviceFailed, "double failure");
+    if (devs_[d]->failed())
+      return Status(ErrorCode::kDeviceFailed, "double failure");
     u64 tag = 0;
     IoResult r = devs_[d]->read(now, off, 1, std::span<u64>(&tag, 1));
     if (!r.ok()) return Status(r.error);
@@ -238,7 +246,8 @@ Result<u64> RaidDevice::reconstruct_block(SimTime now, size_t dead_dev, u64 off,
   return acc;
 }
 
-IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
+IoResult RaidDevice::write(SimTime now, u64 lba, u32 n,
+                           std::span<const u64> tags) {
   if (lba + n > capacity_blocks_) return {now, ErrorCode::kInvalidArgument};
   const u32 sp = (span_ != nullptr && span_->sampling())
                      ? span_->begin_span("raid.write", now)
@@ -264,16 +273,21 @@ IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tag
       sort_cells(cells);
       std::vector<u64> buf;
       ErrorCode err = ErrorCode::kOk;
-      SimTime done = for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t first) {
-        buf.resize(cnt);
-        for (size_t k = 0; k < cnt; ++k) buf[k] = cells[first + k].tag;
-        IoResult r = devs_[dev]->write(now, off, static_cast<u32>(cnt),
-                                       std::span<const u64>(buf.data(), cnt));
-        if (!r.ok()) { err = r.error; return now; }
-        stats_.write_ops++;
-        stats_.write_blocks += cnt;
-        return r.done;
-      });
+      SimTime done = for_each_run(
+          cells, now, [&](size_t dev, u64 off, size_t cnt, size_t first) {
+            buf.resize(cnt);
+            for (size_t k = 0; k < cnt; ++k) buf[k] = cells[first + k].tag;
+            IoResult r =
+                devs_[dev]->write(now, off, static_cast<u32>(cnt),
+                                  std::span<const u64>(buf.data(), cnt));
+            if (!r.ok()) {
+              err = r.error;
+              return now;
+            }
+            stats_.write_ops++;
+            stats_.write_blocks += cnt;
+            return r.done;
+          });
       if (err != ErrorCode::kOk) return finish({now, err});
       return finish({done, ErrorCode::kOk});
     }
@@ -310,13 +324,16 @@ IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
       written[col * cfg_.chunk_blocks + row] = 1;
     }
     const bool full =
-        static_cast<u64>(std::count(written.begin(), written.end(), 1)) == stripe_data;
+        static_cast<u64>(std::count(written.begin(), written.end(), 1)) ==
+        stripe_data;
 
     bool degraded = devs_[pdev]->failed();
-    for (size_t d = 0; d < devs_.size() && !degraded; ++d) degraded = devs_[d]->failed();
+    for (size_t d = 0; d < devs_.size() && !degraded; ++d)
+      degraded = devs_[d]->failed();
 
     auto data_dev = [&](u64 col) {
-      return col >= pdev ? static_cast<size_t>(col) + 1 : static_cast<size_t>(col);
+      return col >= pdev ? static_cast<size_t>(col) + 1
+                         : static_cast<size_t>(col);
     };
     auto dev_off = [&](u64 row) { return pbase + row; };
 
@@ -372,7 +389,8 @@ IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
               reads.push_back({data_dev(c), dev_off(row), 0,
                                &old_vals[c * cfg_.chunk_blocks + row]});
         for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          if (row_touched[row]) reads.push_back({pdev, dev_off(row), 0, &old_parity[row]});
+          if (row_touched[row])
+            reads.push_back({pdev, dev_off(row), 0, &old_parity[row]});
         rstats_.rmw_writes++;
         strategy = "raid.rmw";
       } else {
@@ -412,16 +430,20 @@ IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
       sort_cells(reads);
       std::vector<u64> buf;
       ErrorCode err = ErrorCode::kOk;
-      t_read = for_each_run(reads, now, [&](size_t dev, u64 off, size_t rcnt, size_t first) {
-        buf.resize(rcnt);
-        IoResult r = devs_[dev]->read(now, off, static_cast<u32>(rcnt),
-                                      std::span<u64>(buf.data(), rcnt));
-        if (!r.ok()) { err = r.error; return now; }
-        for (size_t k = 0; k < rcnt; ++k) *reads[first + k].out = buf[k];
-        stats_.read_ops++;
-        stats_.read_blocks += rcnt;
-        return r.done;
-      });
+      t_read = for_each_run(
+          reads, now, [&](size_t dev, u64 off, size_t rcnt, size_t first) {
+            buf.resize(rcnt);
+            IoResult r = devs_[dev]->read(now, off, static_cast<u32>(rcnt),
+                                          std::span<u64>(buf.data(), rcnt));
+            if (!r.ok()) {
+              err = r.error;
+              return now;
+            }
+            for (size_t k = 0; k < rcnt; ++k) *reads[first + k].out = buf[k];
+            stats_.read_ops++;
+            stats_.read_blocks += rcnt;
+            return r.done;
+          });
       if (err != ErrorCode::kOk) return {now, err};
 
       for (u64 row = 0; row < cfg_.chunk_blocks; ++row) {
@@ -462,19 +484,24 @@ IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
         }
       if (!devs_[pdev]->failed())
         for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          if (row_touched[row]) writes.push_back({pdev, dev_off(row), parity[row]});
+          if (row_touched[row])
+            writes.push_back({pdev, dev_off(row), parity[row]});
     }
 
     sort_cells(writes);
     std::vector<u64> wbuf;
     ErrorCode werr = ErrorCode::kOk;
-    const SimTime t_write =
-        for_each_run(writes, t_read, [&](size_t dev, u64 off, size_t wcnt, size_t first) {
+    const SimTime t_write = for_each_run(
+        writes, t_read, [&](size_t dev, u64 off, size_t wcnt, size_t first) {
           wbuf.resize(wcnt);
           for (size_t k = 0; k < wcnt; ++k) wbuf[k] = writes[first + k].tag;
-          IoResult r = devs_[dev]->write(t_read, off, static_cast<u32>(wcnt),
-                                         std::span<const u64>(wbuf.data(), wcnt));
-          if (!r.ok()) { werr = r.error; return t_read; }
+          IoResult r =
+              devs_[dev]->write(t_read, off, static_cast<u32>(wcnt),
+                                std::span<const u64>(wbuf.data(), wcnt));
+          if (!r.ok()) {
+            werr = r.error;
+            return t_read;
+          }
           stats_.write_ops++;
           stats_.write_blocks += wcnt;
           return r.done;
@@ -511,7 +538,8 @@ IoResult RaidDevice::write_payload(SimTime now, u64 lba, Payload payload) {
 
 Result<Payload> RaidDevice::read_payload(SimTime now, u64 lba, SimTime* done) {
   const Loc loc = locate(lba);
-  if (!devs_[loc.dev]->failed()) return devs_[loc.dev]->read_payload(now, loc.off, done);
+  if (!devs_[loc.dev]->failed())
+    return devs_[loc.dev]->read_payload(now, loc.off, done);
   if (cfg_.level == RaidLevel::kRaid1 && loc.mirror != SIZE_MAX &&
       !devs_[loc.mirror]->failed()) {
     return devs_[loc.mirror]->read_payload(now, loc.off, done);
@@ -557,57 +585,19 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
     }
   }
   sort_cells(cells);
-  SimTime done = for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t) {
-    IoResult r = devs_[dev]->trim(now, off, cnt);
-    return r.ok() ? r.done : now;
-  });
+  SimTime done =
+      for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t) {
+        IoResult r = devs_[dev]->trim(now, off, cnt);
+        return r.ok() ? r.done : now;
+      });
   stats_.trim_ops++;
   stats_.trim_blocks += n;
   return {done, ErrorCode::kOk};
 }
 
-IoResult RaidDevice::rebuild(SimTime now, size_t dev) {
-  if (dev >= devs_.size()) return {now, ErrorCode::kInvalidArgument};
-  if (devs_[dev]->failed()) return {now, ErrorCode::kDeviceFailed};
-  if (cfg_.level == RaidLevel::kRaid0) return {now, ErrorCode::kUnrecoverable};
-  SimTime done = now;
-  if (cfg_.level == RaidLevel::kRaid1) {
-    const size_t partner = dev ^ 1;
-    if (devs_[partner]->failed()) return {now, ErrorCode::kUnrecoverable};
-    std::vector<u64> buf(cfg_.chunk_blocks);
-    for (u64 off = 0; off < dev_blocks_; off += cfg_.chunk_blocks) {
-      IoResult r = devs_[partner]->read(now, off, cfg_.chunk_blocks,
-                                        std::span<u64>(buf.data(), buf.size()));
-      if (!r.ok()) return r;
-      IoResult w = devs_[dev]->write(r.done, off, cfg_.chunk_blocks,
-                                     std::span<const u64>(buf.data(), buf.size()));
-      if (!w.ok()) return w;
-      done = std::max(done, w.done);
-    }
-    return {done, ErrorCode::kOk};
-  }
-  // Parity levels: each block is the XOR of the rest of its row.
-  for (u64 off = 0; off < dev_blocks_; ++off) {
-    u64 acc = 0;
-    SimTime t = now;
-    for (size_t d = 0; d < devs_.size(); ++d) {
-      if (d == dev) continue;
-      if (devs_[d]->failed()) return {now, ErrorCode::kUnrecoverable};
-      u64 tag = 0;
-      IoResult r = devs_[d]->read(now, off, 1, std::span<u64>(&tag, 1));
-      if (!r.ok()) return r;
-      acc ^= tag;
-      t = std::max(t, r.done);
-    }
-    IoResult w = devs_[dev]->write(t, off, 1, std::span<const u64>(&acc, 1));
-    if (!w.ok()) return w;
-    done = std::max(done, w.done);
-  }
-  return {done, ErrorCode::kOk};
-}
-
 bool RaidDevice::verify_parity(u64 lba) {
-  if (cfg_.level != RaidLevel::kRaid4 && cfg_.level != RaidLevel::kRaid5) return true;
+  if (cfg_.level != RaidLevel::kRaid4 && cfg_.level != RaidLevel::kRaid5)
+    return true;
   const u64 stripe = stripe_of(lba);
   const size_t pdev = parity_dev(stripe);
   for (u64 row = 0; row < cfg_.chunk_blocks; ++row) {

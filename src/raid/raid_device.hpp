@@ -47,12 +47,15 @@ class RaidDevice final : public BlockDevice {
   // capacity/2 organisation the paper describes).
   RaidDevice(const RaidConfig& cfg, std::vector<BlockDevice*> devices);
 
-  [[nodiscard]] u64 capacity_blocks() const override { return capacity_blocks_; }
+  [[nodiscard]] u64 capacity_blocks() const override {
+    return capacity_blocks_;
+  }
   [[nodiscard]] const RaidConfig& config() const { return cfg_; }
   [[nodiscard]] const RaidStats& raid_stats() const { return rstats_; }
 
   IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
+  IoResult write(SimTime now, u64 lba, u32 n,
+                 std::span<const u64> tags) override;
   IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
   Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
   IoResult flush(SimTime now) override;
@@ -69,10 +72,6 @@ class RaidDevice final : public BlockDevice {
   void heal() override {}
   [[nodiscard]] bool failed() const override;
   void corrupt(u64 lba) override;
-
-  // Rebuilds the (healed) replacement device `dev` from the survivors.
-  // Returns completion time; error if redundancy is insufficient.
-  IoResult rebuild(SimTime now, size_t dev);
 
   // Testing hook: true if every parity block of the stripe containing
   // `lba` equals the XOR of its data blocks (content-tracking devices only).
@@ -99,10 +98,11 @@ class RaidDevice final : public BlockDevice {
   [[nodiscard]] u64 stripe_of(u64 lba) const;
   [[nodiscard]] u64 data_cols() const;
 
-  IoResult read_parity_level(SimTime now, u64 lba, u32 n, std::span<u64> tags_out);
-  IoResult write_parity_level(SimTime now, u64 lba, u32 n, std::span<const u64> tags);
+  IoResult write_parity_level(SimTime now, u64 lba, u32 n,
+                              std::span<const u64> tags);
   // Reconstructs one block of a failed device from the rest of its row.
-  Result<u64> reconstruct_block(SimTime now, size_t dead_dev, u64 off, SimTime* done);
+  Result<u64> reconstruct_block(SimTime now, size_t dead_dev, u64 off,
+                                SimTime* done);
 
   RaidConfig cfg_;
   std::vector<BlockDevice*> devs_;

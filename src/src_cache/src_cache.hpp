@@ -32,6 +32,10 @@
 #include "src_cache/segment_meta.hpp"
 #include "src_cache/src_config.hpp"
 
+namespace srcache::fault {
+class FaultInjector;
+}  // namespace srcache::fault
+
 namespace srcache::src {
 
 using blockdev::BlockDevice;
@@ -101,7 +105,9 @@ class SrcCache final : public cache::CacheDevice {
 
   SimTime submit(const cache::AppRequest& req) override;
   SimTime flush(SimTime now) override;
-  [[nodiscard]] const cache::CacheStats& stats() const override { return stats_; }
+  [[nodiscard]] const cache::CacheStats& stats() const override {
+    return stats_;
+  }
   [[nodiscard]] u64 cached_blocks() const override { return map_.size(); }
 
   [[nodiscard]] const SrcConfig& config() const { return cfg_; }
@@ -127,27 +133,6 @@ class SrcCache final : public cache::CacheDevice {
   // Reacts to an SSD fail-stopped at `now`: drops unprotected blocks, keeps
   // parity-protected ones for on-the-fly reconstruction (§4.3).
   void on_ssd_failure(size_t ssd, SimTime now);
-
-  // --- online rebuild (raid/rebuild.hpp) ---
-  // Live-segment map export: the extents a replaced SSD must be rebuilt
-  // from, in device-block order. MS/ME and superblock replicas are
-  // rewritten from in-RAM state; data rows decode via mirror or parity.
-  // Rows without redundancy (NPC clean segments) were already dropped at
-  // fail time and are skipped — the SRC-aware saving over a blind
-  // full-device sweep.
-  [[nodiscard]] std::vector<raid::RebuildExtent> rebuild_extents(
-      size_t dev) const;
-  // Attaches the rebuild engine: its mask diverts reads of not-yet-rebuilt
-  // blocks off the blank replacement, and segment seals / SG trims discard
-  // stale pending stripes. Wire on_rebuild_lost to its abort callback and
-  // rebuild_extents as its extent source.
-  void set_rebuild(raid::RebuildManager* mgr) { rebuild_ = mgr; }
-  // A second failure made `lost` ranges of `dev` unreconstructable at
-  // `now`: drops the cached blocks addressed there, counted lost, dirty or
-  // clean.
-  void on_rebuild_lost(size_t dev,
-                       const std::vector<raid::RebuildExtent>& lost,
-                       SimTime now);
 
   // Proactive integrity scrub: reads and checksum-verifies every live
   // cached block, repairing through parity/mirror/refetch as on the read
@@ -194,10 +179,17 @@ class SrcCache final : public cache::CacheDevice {
   // marked hot (recently re-accessed), i.e. worth holding in DRAM too.
   [[nodiscard]] bool hot_hint(u64 lba) const;
 
-  // Optional fault accounting: detection (CRC mismatch, media error) and
-  // repair events on the read path are reported to `ledger`, keyed by
-  // (ssd index, device block), matching FaultInjector's injection records.
-  void set_fault_ledger(fault::FaultLedger* ledger) { fault_ledger_ = ledger; }
+  // Wires a scripted fault plan, and optionally a rebuilder, to this cache;
+  // the only code that knows how. `inj` drives the cache's SSDs and
+  // primary, its ledger receives the read path's detections and repairs
+  // (keyed by ssd index and device block), and a fired fail-stop runs
+  // on_ssd_failure, then mgr->on_device_failed. `mgr` rebuilds SRC-aware
+  // (rebuild_extents, on_rebuild_lost, spare writes ledgered as
+  // rebuild_copy provenance), masks not-yet-rebuilt blocks from the read
+  // path and follows the plan's replace/spare actions. The callbacks hold
+  // `this`: the cache, `inj` and `mgr` must outlive every run driving them.
+  void attach_faults(fault::FaultInjector& inj,
+                     raid::RebuildManager* mgr = nullptr);
 
   // Registers pull-style observability metrics (segment/reclaim/repair
   // counters, utilization, free-SG gauge) under `scope`, e.g. "src". The
@@ -219,10 +211,6 @@ class SrcCache final : public cache::CacheDevice {
   [[nodiscard]] const obs::ProvenanceLedger& provenance() const {
     return ledger_;
   }
-  // Mutable handle for external writers sharing this cache's SSDs: the
-  // background rebuild engine ledgers its spare writes here (rebuild_copy)
-  // so the per-device balance invariant keeps holding during a rebuild.
-  [[nodiscard]] obs::ProvenanceLedger& mutable_provenance() { return ledger_; }
 
  private:
   static constexpr u32 kBufferSg = ~0u;
@@ -342,6 +330,22 @@ class SrcCache final : public cache::CacheDevice {
   SimTime ensure_free_sg(SimTime now);
   SimTime reclaim_one(SimTime now, bool force_s2d);
   [[nodiscard]] u32 pick_victim() const;
+
+  // --- online rebuild (raid/rebuild.hpp, wired by attach_faults) ---
+  // Live-segment map export: the extents a replaced SSD must be rebuilt
+  // from, in device-block order. MS/ME and superblock replicas are
+  // rewritten from in-RAM state; data rows decode via mirror or parity.
+  // Rows without redundancy (NPC clean segments) were already dropped at
+  // fail time and are skipped — the SRC-aware saving over a blind
+  // full-device sweep.
+  [[nodiscard]] std::vector<raid::RebuildExtent> rebuild_extents(
+      size_t dev) const;
+  // A second failure made `lost` ranges of `dev` unreconstructable at
+  // `now`: drops the cached blocks addressed there, counted lost, dirty or
+  // clean.
+  void on_rebuild_lost(size_t dev,
+                       const std::vector<raid::RebuildExtent>& lost,
+                       SimTime now);
 
   // --- bookkeeping ---
   // True when the block must not be served from the device itself: the

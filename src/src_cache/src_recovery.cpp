@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "common/crc32c.hpp"
+#include "fault/fault_injector.hpp"
 #include "src_cache/src_cache.hpp"
 
 namespace srcache::src {
@@ -301,6 +302,29 @@ void SrcCache::on_rebuild_lost(size_t dev,
     eviction_->on_evict(lba);
   }
   if (span_ != nullptr) span_->event("src.rebuild_lost", now, to_drop.size());
+}
+
+void SrcCache::attach_faults(fault::FaultInjector& inj,
+                             raid::RebuildManager* mgr) {
+  inj.attach_ssds(ssds_);
+  inj.attach_primary(primary_);
+  fault_ledger_ = &inj.ledger();
+  inj.set_failure_callback([this, mgr](size_t dev, SimTime t) {
+    on_ssd_failure(dev, t);
+    if (mgr != nullptr) mgr->on_device_failed(dev, t);
+  });
+  if (mgr == nullptr) return;
+  mgr->set_extent_source([this](size_t dev) { return rebuild_extents(dev); });
+  mgr->set_abort_callback(
+      [this](size_t dev, const std::vector<raid::RebuildExtent>& lost,
+             SimTime t) { on_rebuild_lost(dev, lost, t); });
+  mgr->set_provenance(&ledger_);
+  mgr->set_fault_ledger(&inj.ledger());
+  if (span_ != nullptr) mgr->set_span(span_);
+  rebuild_ = mgr;
+  inj.set_replace_callback(
+      [mgr](size_t dev, SimTime t) { mgr->on_device_replaced(dev, t); });
+  inj.set_spare_callback([mgr](u32 n) { mgr->add_spares(n); });
 }
 
 SrcCache::ScrubReport SrcCache::scrub(SimTime now, SimTime* done) {

@@ -32,7 +32,7 @@ ClosedLoop::ClosedLoop(cache::CacheDevice* cache,
       gens_(gens),
       cfg_(cfg),
       sampler_(cfg.registry, cfg.timeseries_interval) {
-  if (gens_.empty()) throw std::invalid_argument("Runner: no generators");
+  if (gens_.empty()) throw std::invalid_argument("ClosedLoop: no generators");
   const size_t streams_per_gen =
       static_cast<size_t>(cfg_.threads_per_gen) *
       static_cast<size_t>(std::max(1, cfg_.iodepth));
@@ -77,7 +77,7 @@ u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
       cfg_.spans->begin_op(op.is_write ? "op.write" : "op.read", now);
   const sim::SimTime done = cache_->submit(req);
   if (op_sampled) cfg_.spans->end_op(done, op.nblocks);
-  if (done < now) throw std::logic_error("Runner: completion before issue");
+  if (done < now) throw std::logic_error("ClosedLoop: completion before issue");
   if (measure) {
     const u64 miss_after = op.is_write ? cache_->stats().write_new_blocks
                                        : cache_->stats().read_miss_blocks;
@@ -162,11 +162,6 @@ bool ClosedLoop::run_until(sim::SimTime until) {
   }
   done_ = done_ || heap_.empty();
   return !done_;
-}
-
-void ClosedLoop::run_to_end() {
-  // window_end() bounds every issue, so any until past it drains the loop.
-  run_until(window_end() + 1);
 }
 
 sim::SimTime ClosedLoop::next_event() const {

@@ -1,8 +1,8 @@
-// Resumable closed-loop replay: Runner::run's issue/measure machinery split
-// into explicit phases (warmup -> start -> run_until... -> finish) so a
-// caller can interleave other work at virtual-time boundaries. Runner drives
-// one loop straight through; engine::ParallelEngine drives one loop per
-// shard domain and pauses each at epoch barriers.
+// Resumable closed-loop replay: the issue/measure machinery of one run in
+// explicit phases (warmup -> start -> run_until... -> finish) so a caller
+// can interleave other work at virtual-time boundaries.
+// engine::ParallelEngine drives one loop per shard domain and pauses each at
+// epoch barriers; a serial run (engine::run_one) is a one-domain engine run.
 //
 // Determinism contract: given identical construction inputs, the sequence of
 // issued requests — and therefore every statistic finish() computes — is a
@@ -31,7 +31,7 @@ class ClosedLoop {
 
   // Opens the measurement window at the next pending completion: snapshots
   // device/cache/registry state and anchors the fault injector and adaptive
-  // controller, exactly like Runner.
+  // controller.
   void start();
 
   [[nodiscard]] sim::SimTime window_start() const { return start_; }
@@ -43,7 +43,6 @@ class ClosedLoop {
   // window_end), respecting cfg.max_ops. Returns false once the loop is
   // finished (window elapsed, op budget hit, or streams drained).
   bool run_until(sim::SimTime until);
-  void run_to_end();
 
   [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] u64 ops() const { return res_.ops; }

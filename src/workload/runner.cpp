@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "workload/closed_loop.hpp"
-
 namespace srcache::workload {
 
 void FaultOutcome::merge_add(const FaultOutcome& o) {
@@ -112,19 +110,6 @@ void RunResult::derive() {
       obs::LatencySummary::of(fault.degraded_latency.reads());
   fault.degraded_write_lat =
       obs::LatencySummary::of(fault.degraded_latency.writes());
-}
-
-Runner::Runner(cache::CacheDevice* cache,
-               std::vector<blockdev::BlockDevice*> ssds)
-    : cache_(cache), ssds_(std::move(ssds)) {}
-
-RunResult Runner::run(const std::vector<Generator*>& gens,
-                      const RunConfig& cfg) {
-  ClosedLoop loop(cache_, ssds_, gens, cfg);
-  loop.warmup();
-  loop.start();
-  loop.run_to_end();
-  return loop.finish();
 }
 
 }  // namespace srcache::workload

@@ -1,8 +1,10 @@
-// Closed-loop trace replayer and measurement harness — the simulated
+// Configuration and outcome of one closed-loop replay — the simulated
 // equivalent of the paper's trace-replay tool (§5.1): each trace is replayed
 // by a fixed number of threads with a fixed queue depth, all traces of a
 // group running simultaneously; throughput and I/O amplification are
-// measured over a fixed (virtual) duration.
+// measured over a fixed (virtual) duration. workload::ClosedLoop issues the
+// requests; engine::ParallelEngine drives every loop (engine::run_one is a
+// serial run of one loop).
 #pragma once
 
 #include <array>
@@ -33,7 +35,7 @@ struct RunConfig {
   // Bytes of untimed workload to run first (cache warm-up); statistics and
   // the measurement window start after it completes.
   u64 warmup_bytes = 0;
-  // Optional: a registry over the stack under test. The runner snapshots it
+  // Optional: a registry over the stack under test. The loop snapshots it
   // after warm-up and at the end; RunResult.metrics holds the delta, so the
   // measurement window excludes cache-fill traffic.
   const obs::MetricsRegistry* registry = nullptr;
@@ -42,7 +44,7 @@ struct RunConfig {
   // resource utilization, ...) land in RunResult.timeseries; resource series
   // need `registry` to be set as well.
   sim::SimTime timeseries_interval = 0;
-  // Optional: a scripted fault injector (fault/fault_plan.hpp). The runner
+  // Optional: a scripted fault injector (fault/fault_plan.hpp). The loop
   // anchors its triggers at the measurement-window start and advances it
   // before every measured request; RunResult.fault reports the ledger
   // counters and the healthy-vs-degraded split of the window.
@@ -61,12 +63,12 @@ struct RunConfig {
   // measurement-window start, like fault triggers, and closed at request
   // boundaries inside the window.
   adapt::AdaptiveController* adapt = nullptr;
-  // Optional write-provenance ledger of the cache under test. The runner
+  // Optional write-provenance ledger of the cache under test. The loop
   // snapshots it after warm-up and reports the measurement-window delta in
   // RunResult.provenance, mirroring the ssd-stats window delta so the
   // balance invariant (ledger flash bytes == SSD write bytes) holds exactly.
   const obs::ProvenanceLedger* provenance = nullptr;
-  // Optional op-span tracer. The runner opens a root span ("op.read"/
+  // Optional op-span tracer. The loop opens a root span ("op.read"/
   // "op.write") around every measured request; components wired to the same
   // tracer attach children. RunResult.spans carries the aggregate outcome.
   obs::SpanTracer* spans = nullptr;
@@ -133,7 +135,7 @@ struct TierOutcome : tier::TierStats {
 };
 
 // Per-tenant slice of the measurement window (RunConfig::num_tenants > 0).
-// Hit/miss blocks are classified runner-side from the cache's miss-counter
+// Hit/miss blocks are classified loop-side from the cache's miss-counter
 // delta around each submit, so any CacheDevice works.
 struct TenantOutcome {
   u64 ops = 0;
@@ -253,18 +255,6 @@ struct RunResult {
   void merge_add(const RunResult& o);
   // Recomputes every derived metric from the exact aggregates.
   void derive();
-};
-
-class Runner {
- public:
-  // `ssds` are the devices whose traffic counts as cache-layer I/O.
-  Runner(cache::CacheDevice* cache, std::vector<blockdev::BlockDevice*> ssds);
-
-  RunResult run(const std::vector<Generator*>& gens, const RunConfig& cfg);
-
- private:
-  cache::CacheDevice* cache_;
-  std::vector<blockdev::BlockDevice*> ssds_;
 };
 
 }  // namespace srcache::workload

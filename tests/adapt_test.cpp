@@ -11,9 +11,9 @@
 #include "adapt/adaptive.hpp"
 #include "adapt/ghost_cache.hpp"
 #include "adapt/partition.hpp"
+#include "engine/engine.hpp"
 #include "src_test_util.hpp"
 #include "workload/generators.hpp"
-#include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
 namespace srcache {
@@ -343,10 +343,9 @@ MtOutcome run_two_tenant(double t0_share) {
 
   std::vector<blockdev::BlockDevice*> ssds;
   for (auto& s : rig.ssds) ssds.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), ssds);
 
   MtOutcome out;
-  out.res = runner.run({&mix}, rc);
+  out.res = engine::run_one({rig.cache.get(), ssds, {&mix}, rc});
   u64 hits = 0, misses = 0;
   const auto& samples = out.res.timeseries.samples;
   for (size_t i = 3; i < samples.size(); ++i) {

@@ -135,14 +135,7 @@ DomainSetup make_full_domain(u32 index) {
   auto* holder = static_cast<TestDomain*>(s.owned.get());
   holder->fault = std::make_unique<fault::FaultInjector>(
       fault::FaultPlan::parse_or_die("at=ops:100 fail dev=ssd1"));
-  std::vector<blockdev::BlockDevice*> devs;
-  for (auto& d : holder->rig.ssds) devs.push_back(d.get());
-  holder->fault->attach_ssds(devs);
-  holder->fault->attach_primary(holder->rig.primary.get());
-  src::SrcCache* cache = holder->rig.cache.get();
-  holder->fault->set_failure_callback(
-      [cache](size_t ssd, sim::SimTime t) { cache->on_ssd_failure(ssd, t); });
-  cache->set_fault_ledger(&holder->fault->ledger());
+  holder->rig.cache->attach_faults(*holder->fault);
   s.cfg.fault = holder->fault.get();
   return s;
 }
@@ -307,9 +300,7 @@ TEST(ParallelEngine, MergeRecomputesDerivedMetrics) {
 // RunResult::derive(), so merging one domain's result reproduces it byte for
 // byte: tier, tenants and the fault healthy/degraded split included.
 TEST(MergeResults, OneDomainMergeSerializesLikeItsPart) {
-  const DomainSetup s = make_full_domain(0);
-  const workload::RunResult r =
-      workload::Runner(s.cache, s.ssds).run(s.gens, s.cfg);
+  const workload::RunResult r = engine::run_one(make_full_domain(0));
   ASSERT_GT(r.fault.events_fired, 0u);
   ASSERT_GE(r.fault.first_fault_s, 0.0);
   ASSERT_GT(r.fault.degraded_bytes, 0u);
@@ -320,20 +311,27 @@ TEST(MergeResults, OneDomainMergeSerializesLikeItsPart) {
             workload::run_json("t", "r", r));
 }
 
-// engine.hpp: "1 reproduces the serial runner". One domain under the engine
-// (epoch barriers and all) serializes exactly like Runner::run on an
-// identical rig, once the engine's own partition block is removed.
+// One domain under the engine (epoch barriers and all) serializes exactly
+// like a ClosedLoop driven straight through on an identical rig, once the
+// engine's own partition block is removed; engine::run_one, which returns
+// the domain's own result, needs no removal. The reference side is an
+// independent serial drive.
 TEST(ParallelEngine, OneDomainReproducesTheSerialRunner) {
   const DomainSetup s = make_full_domain(0);
-  const workload::RunResult serial =
-      workload::Runner(s.cache, s.ssds).run(s.gens, s.cfg);
+  workload::ClosedLoop loop(s.cache, s.ssds, s.gens, s.cfg);
+  loop.warmup();
+  loop.start();
+  EXPECT_FALSE(loop.run_until(loop.window_end() + 1));
+  const workload::RunResult serial = loop.finish();
   ASSERT_GT(serial.fault.events_fired, 0u);
   EngineResult e = ParallelEngine(EngineConfig{}).run(
       1, [](u32 index, u32) { return make_full_domain(index); });
   EXPECT_GT(e.epochs, 1u);
   e.merged.engine = {};
-  EXPECT_EQ(workload::run_json("t", "r", e.merged),
-            workload::run_json("t", "r", serial));
+  const std::string want = workload::run_json("t", "r", serial);
+  EXPECT_EQ(workload::run_json("t", "r", e.merged), want);
+  EXPECT_EQ(workload::run_json("t", "r", engine::run_one(make_full_domain(0))),
+            want);
 }
 
 // Fills every field of a stats struct (all u64 words, as the structs'

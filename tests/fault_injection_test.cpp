@@ -6,10 +6,10 @@
 
 #include <string_view>
 
+#include "engine/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "src_test_util.hpp"
 #include "workload/generators.hpp"
-#include "workload/runner.hpp"
 
 namespace srcache::src {
 namespace {
@@ -19,18 +19,12 @@ using fault::FaultPlan;
 using testutil::Rig;
 using testutil::small_config;
 
-// Wires an injector to a test rig: device hooks, the §4.3 fail-stop
+// Wires an injector to a test rig through SrcCache::attach_faults, the call
+// every bench and fault_matrix make: device hooks, the §4.3 fail-stop
 // reaction, and the cache's detection/repair reports into the ledger.
 FaultInjector make_injector(Rig& rig, const std::string& plan, u64 seed = 7) {
   FaultInjector inj(FaultPlan::parse_or_die(plan, seed));
-  std::vector<blockdev::BlockDevice*> devs;
-  for (auto& s : rig.ssds) devs.push_back(s.get());
-  inj.attach_ssds(devs);
-  inj.attach_primary(rig.primary.get());
-  inj.set_failure_callback([&rig](size_t ssd, sim::SimTime t) {
-    rig.cache->on_ssd_failure(ssd, t);
-  });
-  rig.cache->set_fault_ledger(&inj.ledger());
+  rig.cache->attach_faults(inj);
   return inj;
 }
 
@@ -204,7 +198,7 @@ TEST(FaultInjection, MediaErrorRepairRemapsTheSector) {
 }
 
 TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
-  // End-to-end through workload::Runner: the injector is anchored at the
+  // End-to-end through a serial engine run: the injector is anchored at the
   // measurement window, fires mid-run, and the result carries the ledger
   // counters plus the healthy/degraded split.
   SrcConfig cfg = small_config();
@@ -220,18 +214,20 @@ TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
 
   std::vector<blockdev::BlockDevice*> devs;
   for (auto& s : rig.ssds) devs.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), devs);
   workload::RunConfig rc;
   rc.duration = 60 * sim::kSec;
   rc.max_ops = 600;
   rc.fault = &inj;
-  const workload::RunResult res = runner.run({&gen}, rc);
+  const workload::RunResult res =
+      engine::run_one({rig.cache.get(), devs, {&gen}, rc});
 
   EXPECT_TRUE(res.fault.active);
   EXPECT_EQ(res.fault.events_fired, 1u);
   EXPECT_GE(res.fault.first_fault_s, 0.0);
   EXPECT_GT(res.fault.healthy_mbps, 0.0);
-  EXPECT_GT(res.fault.degraded_read_lat.count + res.fault.degraded_write_lat.count, 0u);
+  EXPECT_GT(
+      res.fault.degraded_read_lat.count + res.fault.degraded_write_lat.count,
+      0u);
   EXPECT_EQ(res.fault.injected, 1u);
   EXPECT_EQ(res.fault.detected, 1u);  // fail-stop is device-reported
   EXPECT_EQ(res.fault.injected, res.fault.detected + res.fault.undetected);
@@ -255,13 +251,12 @@ TEST(FaultInjection, SsdFailureEventCarriesTheFireTime) {
 
   std::vector<blockdev::BlockDevice*> devs;
   for (auto& s : rig.ssds) devs.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), devs);
   workload::RunConfig rc;
   rc.duration = 60 * sim::kSec;
   rc.max_ops = 600;
   rc.fault = &inj;
   rc.spans = &spans;
-  (void)runner.run({&gen}, rc);
+  (void)engine::run_one({rig.cache.get(), devs, {&gen}, rc});
 
   ASSERT_EQ(inj.events_fired(), 1u);
   ASSERT_GT(inj.first_fire_time(), 0);

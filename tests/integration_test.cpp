@@ -12,8 +12,8 @@
 #include "baselines/flashcache_like.hpp"
 #include "block/mem_disk.hpp"
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 #include "src_test_util.hpp"
-#include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
 namespace srcache {
@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(AllCaches, CacheProperty,
                            return n;
                          });
 
-// --- full-stack smoke: SRC over simulated SSDs + iSCSI ----------------------------
+// --- full-stack smoke: SRC over simulated SSDs + iSCSI -----------------------
 
 TEST(Integration, TraceGroupRunsEndToEnd) {
   auto rig = make_devices(4);
@@ -210,13 +210,13 @@ TEST(Integration, TraceGroupRunsEndToEnd) {
 
   workload::TraceSet set =
       workload::make_trace_set(workload::TraceGroup::kMixed, 64 * MiB, 7);
-  workload::Runner runner(cache.get(), devs);
   workload::RunConfig rc;
   rc.threads_per_gen = 2;
   rc.iodepth = 2;
   rc.duration = 2 * sim::kSec;
   rc.max_ops = 20000;
-  const auto res = runner.run(set.generators(), rc);
+  const auto res =
+      engine::run_one({cache.get(), devs, set.generators(), rc});
   EXPECT_GT(res.ops, 1000u);
   EXPECT_GT(res.throughput_mbps, 0.0);
   EXPECT_GT(res.io_amplification, 0.5);

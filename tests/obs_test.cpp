@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "flash/sim_ssd.hpp"
 #include "hdd/iscsi_target.hpp"
 #include "obs/json.hpp"
@@ -20,7 +21,6 @@
 #include "obs/timeseries.hpp"
 #include "src_cache/src_cache.hpp"
 #include "workload/report.hpp"
-#include "workload/runner.hpp"
 
 namespace srcache {
 namespace {
@@ -537,9 +537,6 @@ struct ObsRig {
     fc.read_pct = 50;
     fc.seed = 7;
     workload::FioGen gen(fc);
-    workload::Runner runner(cache.get(),
-                            {ssds[0].get(), ssds[1].get(), ssds[2].get(),
-                             ssds[3].get()});
     workload::RunConfig rc;
     rc.threads_per_gen = 2;
     rc.iodepth = 2;
@@ -548,7 +545,9 @@ struct ObsRig {
     rc.registry = &registry;
     rc.spans = &spans;
     rc.timeseries_interval = 100 * sim::kMs;  // 20 intervals per run
-    return runner.run({&gen}, rc);
+    const std::vector<blockdev::BlockDevice*> devs = {
+        ssds[0].get(), ssds[1].get(), ssds[2].get(), ssds[3].get()};
+    return engine::run_one({cache.get(), devs, {&gen}, rc});
   }
 };
 

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 #include "obs/json.hpp"
 #include "obs/provenance.hpp"
 #include "src_test_util.hpp"
 #include "tier/tier_cache.hpp"
-#include "workload/runner.hpp"
 
 namespace srcache::src {
 namespace {
@@ -277,14 +277,14 @@ TEST(ProvenanceBalance, RunnerWindowDeltaMatchesSsdDelta) {
   workload::FioGen gen(fc);
   std::vector<blockdev::BlockDevice*> devs;
   for (auto& s : rig.ssds) devs.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), devs);
   workload::RunConfig rc;
   rc.threads_per_gen = 2;
   rc.iodepth = 2;
   rc.duration = 2 * sim::kSec;
   rc.warmup_bytes = 4 * MiB;
   rc.provenance = &rig.cache->provenance();
-  const workload::RunResult res = runner.run({&gen}, rc);
+  const workload::RunResult res =
+      engine::run_one({rig.cache.get(), devs, {&gen}, rc});
 
   ASSERT_GT(res.ops, 0u);
   ASSERT_FALSE(res.provenance.empty());

@@ -5,7 +5,7 @@
 
 #include "block/mem_disk.hpp"
 #include "cache/cache_device.hpp"
-#include "workload/runner.hpp"
+#include "engine/engine.hpp"
 #include "workload/trace_synth.hpp"
 
 namespace srcache::workload {
@@ -216,9 +216,9 @@ TEST(TraceSet, GeneratorsViewMatches) {
   EXPECT_EQ(set.generators().size(), set.traces.size());
 }
 
-// --- Runner -----------------------------------------------------------------
+// --- Runner: serial runs through engine::run_one ---------------------------
 
-// A trivial pass-through cache over a MemDisk for runner mechanics tests.
+// A trivial pass-through cache over a MemDisk for run mechanics tests.
 class PassThroughCache final : public cache::CacheDevice {
  public:
   explicit PassThroughCache(blockdev::BlockDevice* dev) : dev_(dev) {}
@@ -248,7 +248,6 @@ TEST(Runner, MeasuresThroughputAgainstKnownDevice) {
   mc.bandwidth_mbps = 1e9;         // latency-bound
   blockdev::MemDisk disk(mc);
   PassThroughCache cache(&disk);
-  Runner runner(&cache, {&disk});
 
   FioGen::Config fc;
   fc.span_blocks = 1 << 20;
@@ -258,7 +257,7 @@ TEST(Runner, MeasuresThroughputAgainstKnownDevice) {
   rc.threads_per_gen = 1;
   rc.iodepth = 1;
   rc.duration = 1 * sim::kSec;
-  const RunResult res = runner.run({&gen}, rc);
+  const RunResult res = engine::run_one({&cache, {&disk}, {&gen}, rc});
   // Single serial device at 100us/op -> ~10000 ops in 1s.
   EXPECT_NEAR(static_cast<double>(res.ops), 10000.0, 500.0);
   EXPECT_NEAR(res.throughput_mbps, 10000.0 * 4096 / 1e6, 3.0);
@@ -271,7 +270,6 @@ TEST(Runner, MoreStreamsSaturateSerialDevice) {
   mc.op_latency = 100 * sim::kUs;
   blockdev::MemDisk disk(mc);
   PassThroughCache cache(&disk);
-  Runner runner(&cache, {&disk});
   FioGen::Config fc;
   fc.span_blocks = 1 << 16;
   FioGen gen(fc);
@@ -279,7 +277,7 @@ TEST(Runner, MoreStreamsSaturateSerialDevice) {
   rc.threads_per_gen = 4;
   rc.iodepth = 8;
   rc.duration = 500 * sim::kMs;
-  const RunResult res = runner.run({&gen}, rc);
+  const RunResult res = engine::run_one({&cache, {&disk}, {&gen}, rc});
   // The device is serial: queue depth cannot raise throughput above 10K.
   EXPECT_LT(res.ops, 6000u);
   EXPECT_GT(res.ops, 4000u);
@@ -291,7 +289,6 @@ TEST(Runner, WarmupExcludedFromStats) {
   mc.op_latency = 100 * sim::kUs;
   blockdev::MemDisk disk(mc);
   PassThroughCache cache(&disk);
-  Runner runner(&cache, {&disk});
   FioGen::Config fc;
   fc.span_blocks = 1 << 20;
   FioGen gen(fc);
@@ -300,7 +297,7 @@ TEST(Runner, WarmupExcludedFromStats) {
   rc.iodepth = 1;
   rc.duration = 500 * sim::kMs;
   rc.warmup_bytes = 10 * MiB;  // 2560 ops of warm-up
-  const RunResult res = runner.run({&gen}, rc);
+  const RunResult res = engine::run_one({&cache, {&disk}, {&gen}, rc});
   // Throughput reflects only the measured window (10K IOPS device):
   // ~5000 ops in 0.5 s regardless of the warm-up volume.
   EXPECT_NEAR(static_cast<double>(res.ops), 5000.0, 300.0);
@@ -392,14 +389,13 @@ TEST(Runner, MaxOpsBudgetRespected) {
   blockdev::MemDiskConfig mc;
   blockdev::MemDisk disk(mc);
   PassThroughCache cache(&disk);
-  Runner runner(&cache, {&disk});
   FioGen::Config fc;
   fc.span_blocks = 1024;
   FioGen gen(fc);
   RunConfig rc;
   rc.duration = 100 * sim::kSec;
   rc.max_ops = 123;
-  EXPECT_EQ(runner.run({&gen}, rc).ops, 123u);
+  EXPECT_EQ(engine::run_one({&cache, {&disk}, {&gen}, rc}).ops, 123u);
 }
 
 }  // namespace

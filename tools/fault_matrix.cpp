@@ -14,17 +14,20 @@
 //
 //   fault_matrix [--out <path>] [--quick]
 //
-//   --out    artifact path (default: $REPRO_JSON, else fault_matrix.json)
+//   --out    artifact path (default: $REPRO_JSON when set and non-empty,
+//            else fault_matrix.json)
 //   --quick  subsample the crash sweep's boundaries (CI smoke settings)
 //
 // Exit status: 0 when every scenario passed, 1 otherwise (the gate).
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "block/mem_disk.hpp"
+#include "engine/engine.hpp"
 #include "fault/crash_harness.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/json.hpp"
@@ -32,7 +35,6 @@
 #include "src_cache/src_cache.hpp"
 #include "workload/generators.hpp"
 #include "workload/report.hpp"
-#include "workload/runner.hpp"
 
 namespace {
 
@@ -55,6 +57,7 @@ src::SrcConfig matrix_config(src::SrcRaidLevel raid) {
 
 struct Rig {
   std::vector<std::unique_ptr<blockdev::MemDisk>> ssds;
+  std::vector<blockdev::BlockDevice*> devs;  // borrowed views of `ssds`
   std::unique_ptr<blockdev::MemDisk> primary;
   std::unique_ptr<src::SrcCache> cache;
 
@@ -72,7 +75,6 @@ struct Rig {
     slow.op_latency = 5 * sim::kMs;
     slow.bandwidth_mbps = 110.0;
     primary = std::make_unique<blockdev::MemDisk>(slow);
-    std::vector<blockdev::BlockDevice*> devs;
     for (auto& s : ssds) devs.push_back(s.get());
     cache = std::make_unique<src::SrcCache>(cfg, devs, primary.get());
     cache->format(0);
@@ -118,39 +120,18 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   Rig rig(cfg);
 
   fault::FaultInjector inj(fault::FaultPlan::parse_or_die(sc.plan, /*seed=*/7));
-  std::vector<blockdev::BlockDevice*> devs;
-  for (auto& s : rig.ssds) devs.push_back(s.get());
-  inj.attach_ssds(devs);
-  inj.attach_primary(rig.primary.get());
-  rig.cache->set_fault_ledger(&inj.ledger());
-
-  // Hot-spare rebuild scenarios get the full production wiring: the cache's
-  // SRC-aware extent map feeds the rebuilder, aborted extents flow back as
-  // counted losses, spare writes are ledgered as rebuild_copy provenance,
-  // and a completed rebuild credits the fail-stop's ledger record.
+  // Hot-spare rebuild scenarios get the full production wiring
+  // (SrcCache::attach_faults): the cache's SRC-aware extent map feeds the
+  // rebuilder, aborted extents flow back as counted losses, spare writes are
+  // ledgered as rebuild_copy provenance, and a completed rebuild credits the
+  // fail-stop's ledger record.
   std::unique_ptr<raid::RebuildManager> mgr;
   if (sc.rebuild) {
     raid::RebuildConfig rbc;
     rbc.mbps = sc.rebuild_mbps;
-    mgr = std::make_unique<raid::RebuildManager>(rbc, devs);
-    src::SrcCache* cache = rig.cache.get();
-    mgr->set_extent_source(
-        [cache](size_t dev) { return cache->rebuild_extents(dev); });
-    mgr->set_abort_callback(
-        [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost,
-                sim::SimTime t) { cache->on_rebuild_lost(dev, lost, t); });
-    mgr->set_provenance(&cache->mutable_provenance());
-    mgr->set_fault_ledger(&inj.ledger());
-    cache->set_rebuild(mgr.get());
-    inj.set_replace_callback([&mgr](size_t ssd, sim::SimTime t) {
-      mgr->on_device_replaced(ssd, t);
-    });
-    inj.set_spare_callback([&mgr](u32 n) { mgr->add_spares(n); });
+    mgr = std::make_unique<raid::RebuildManager>(rbc, rig.devs);
   }
-  inj.set_failure_callback([&rig, &mgr](size_t ssd, sim::SimTime t) {
-    rig.cache->on_ssd_failure(ssd, t);
-    if (mgr) mgr->on_device_failed(ssd, t);
-  });
+  rig.cache->attach_faults(inj, mgr.get());
 
   // Write-heavy mixed workload over ~1.5x the cache capacity: forces GC,
   // misses and destages, so faults land on a busy array.
@@ -161,15 +142,15 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   gc.seed = 11;
   workload::FioGen gen(gc);
 
-  workload::Runner runner(rig.cache.get(), devs);
   workload::RunConfig rc;
   rc.duration = 120 * sim::kSec;  // op budget is the real stop condition
   rc.max_ops = 6000;
   rc.fault = &inj;
   rc.rebuild = mgr.get();
-  workload::RunResult res = runner.run({&gen}, rc);
+  workload::RunResult res =
+      engine::run_one({rig.cache.get(), rig.devs, {&gen}, rc});
 
-  if (!res.fault.active) fail("runner did not report a fault outcome");
+  if (!res.fault.active) fail("run did not report a fault outcome");
   if (res.fault.events_fired != inj.plan().events().size())
     fail("not every planned event fired within the run");
 
@@ -201,7 +182,7 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
 
   if (sc.rebuild) {
     out.rebuild = mgr->outcome();
-    if (!res.rebuild.active) fail("runner did not report a rebuild outcome");
+    if (!res.rebuild.active) fail("run did not report a rebuild outcome");
     // Provenance balance: every byte the rebuilder wrote to the spare must
     // be ledgered as a rebuild_copy write, nothing more, nothing less.
     const u64 prov = rig.cache->provenance().cause_bytes(
@@ -340,7 +321,9 @@ std::vector<Scenario> build_grid() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // An empty REPRO_JSON means unset, as for every bench knob.
   const char* out_path = std::getenv("REPRO_JSON");
+  if (out_path != nullptr && *out_path == '\0') out_path = nullptr;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -377,7 +360,8 @@ int main(int argc, char** argv) {
     w.kv("scrub_repaired", out.scrub.repaired);
     w.kv("scrub_refetched", out.scrub.refetched);
     w.kv("scrub_unrecoverable", out.scrub.unrecoverable);
-    w.kv("rebuilds_completed", static_cast<u64>(out.rebuild.rebuilds_completed));
+    w.kv("rebuilds_completed",
+         static_cast<u64>(out.rebuild.rebuilds_completed));
     w.kv("rebuilds_aborted", static_cast<u64>(out.rebuild.rebuilds_aborted));
     w.kv("rebuild_blocks_copied", out.rebuild.blocks_copied);
     w.kv("rebuild_blocks_skipped", out.rebuild.blocks_skipped);
