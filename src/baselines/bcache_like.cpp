@@ -29,7 +29,8 @@ u64 BcacheLike::take_bucket(SimTime now, SimTime* done) {
       if (victim == ~0ull || buckets_[b].alloc_seq < buckets_[victim].alloc_seq)
         victim = b;
     }
-    if (victim == ~0ull) throw std::logic_error("Bcache: no reclaimable bucket");
+    if (victim == ~0ull)
+      throw std::logic_error("Bcache: no reclaimable bucket");
     *done = std::max(*done, reclaim_bucket(now, victim));
   }
   const u64 b = free_buckets_.front();
@@ -46,17 +47,16 @@ SimTime BcacheLike::reclaim_bucket(SimTime now, u64 bucket) {
   SimTime t = now;
   bool journaled = false;
   for (u64 lba : bk.lbas) {
-    auto it = map_.find(lba);
-    if (it == map_.end()) continue;
-    const u64 loc = it->second.block;
-    if (loc / cfg_.bucket_blocks != bucket) continue;  // moved since
-    if (it->second.dirty) {
+    const Entry* e = map_.find(lba);
+    if (e == nullptr) continue;
+    if (e->block / cfg_.bucket_blocks != bucket) continue;  // moved since
+    if (e->dirty) {
       t = std::max(t, destage_lba(now, lba));
       journaled = true;
     } else {
       stats_.dropped_clean_blocks++;
     }
-    map_.erase(it);
+    map_.erase(lba);
   }
   if (journaled) t = std::max(t, journal_commit(t));
   bk.fill = 0;
@@ -67,14 +67,14 @@ SimTime BcacheLike::reclaim_bucket(SimTime now, u64 bucket) {
 }
 
 SimTime BcacheLike::destage_lba(SimTime now, u64 lba) {
-  auto it = map_.find(lba);
-  if (it == map_.end() || !it->second.dirty) return now;
+  Entry* e = map_.find(lba);
+  if (e == nullptr || !e->dirty) return now;
   u64 tag = 0;
-  auto r = ssd_->read(now, it->second.block, 1, std::span<u64>(&tag, 1));
+  auto r = ssd_->read(now, e->block, 1, std::span<u64>(&tag, 1));
   SimTime t = r.ok() ? r.done : now;
   auto w = primary_->write(t, lba, 1, std::span<const u64>(&tag, 1));
   if (w.ok()) t = w.done;
-  it->second.dirty = false;
+  e->dirty = false;
   dirty_count_--;
   stats_.destage_blocks++;
   return t;
@@ -89,8 +89,8 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
          dirty_ratio() > cfg_.writeback_percent && !dirty_fifo_.empty()) {
     const u64 lba = dirty_fifo_.front();
     dirty_fifo_.pop_front();
-    auto it = map_.find(lba);
-    if (it == map_.end() || !it->second.dirty) continue;  // stale entry
+    const Entry* e = map_.find(lba);
+    if (e == nullptr || !e->dirty) continue;  // stale entry
     batch.push_back(lba);
   }
   if (batch.empty()) return now;
@@ -105,11 +105,10 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
     SimTime rt = now;
     std::vector<u64> tags(j - i, 0);
     for (size_t k = i; k < j; ++k) {
-      auto it = map_.find(batch[k]);
-      auto r = ssd_->read(now, it->second.block, 1,
-                          std::span<u64>(&tags[k - i], 1));
+      Entry& e = map_.at(batch[k]);
+      auto r = ssd_->read(now, e.block, 1, std::span<u64>(&tags[k - i], 1));
       if (r.ok()) rt = std::max(rt, r.done);
-      it->second.dirty = false;
+      e.dirty = false;
       dirty_count_--;
       stats_.destage_blocks++;
     }
@@ -181,17 +180,17 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
 
     std::vector<u64> tags(req.nblocks);
     for (u32 i = 0; i < req.nblocks; ++i) {
-      tags[i] = req.tags != nullptr ? req.tags[i]
-                                    : blockdev::make_tag(req.lba + i, ++tag_seq_);
+      tags[i] = req.tags != nullptr
+                    ? req.tags[i]
+                    : blockdev::make_tag(req.lba + i, ++tag_seq_);
     }
     // Invalidate any previous versions, then append the run to the log.
     for (u32 i = 0; i < req.nblocks; ++i) {
-      auto it = map_.find(req.lba + i);
-      if (it != map_.end()) {
+      if (const Entry* e = map_.find(req.lba + i); e != nullptr) {
         stats_.write_hit_blocks++;
-        buckets_[it->second.block / cfg_.bucket_blocks].live--;
-        if (it->second.dirty) dirty_count_--;
-        map_.erase(it);
+        buckets_[e->block / cfg_.bucket_blocks].live--;
+        if (e->dirty) dirty_count_--;
+        map_.erase(req.lba + i);
       } else {
         stats_.write_new_blocks++;
       }
@@ -232,10 +231,9 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
   std::vector<std::pair<u64, u32>> miss_runs;
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
-    auto it = map_.find(lba);
-    if (it != map_.end()) {
+    if (const Entry* e = map_.find(lba); e != nullptr) {
       stats_.read_hit_blocks++;
-      hits.push_back({it->second.block, i});
+      hits.push_back({e->block, i});
     } else {
       stats_.read_miss_blocks++;
       if (!miss_runs.empty() &&
@@ -247,8 +245,9 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     }
   }
   // Cache hits: merge contiguous log locations into single reads.
-  std::sort(hits.begin(), hits.end(),
-            [](const HitRead& a, const HitRead& b) { return a.block < b.block; });
+  std::sort(hits.begin(), hits.end(), [](const HitRead& a, const HitRead& b) {
+    return a.block < b.block;
+  });
   std::vector<u64> buf;
   size_t i = 0;
   while (i < hits.size()) {
@@ -273,7 +272,8 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     done = std::max(done, r.done);
     stats_.fetch_blocks += cnt;
     if (req.tags_out != nullptr)
-      for (u32 k = 0; k < cnt; ++k) req.tags_out[lba - req.lba + k] = fetched[k];
+      for (u32 k = 0; k < cnt; ++k)
+        req.tags_out[lba - req.lba + k] = fetched[k];
     SimTime fill_done = now;  // off the ack path
     const u64 block = append(now, lba, cnt, fetched.data(), &fill_done);
     for (u32 k = 0; k < cnt; ++k) map_[lba + k] = Entry{block + k, false};

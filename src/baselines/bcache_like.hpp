@@ -13,11 +13,11 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
 #include "cache/cache_device.hpp"
+#include "common/lba_map.hpp"
 
 namespace srcache::baselines {
 
@@ -40,7 +40,9 @@ class BcacheLike final : public cache::CacheDevice {
 
   SimTime submit(const cache::AppRequest& req) override;
   SimTime flush(SimTime now) override;
-  [[nodiscard]] const cache::CacheStats& stats() const override { return stats_; }
+  [[nodiscard]] const cache::CacheStats& stats() const override {
+    return stats_;
+  }
   [[nodiscard]] u64 cached_blocks() const override { return map_.size(); }
 
   [[nodiscard]] double dirty_ratio() const {
@@ -77,7 +79,7 @@ class BcacheLike final : public cache::CacheDevice {
   std::vector<Bucket> buckets_;
   std::deque<u64> free_buckets_;
   u64 open_bucket_ = ~0ull;
-  std::unordered_map<u64, Entry> map_;
+  common::LbaMap<Entry> map_;
   std::deque<u64> dirty_fifo_;
   u64 dirty_count_ = 0;
   u64 alloc_seq_ = 0;

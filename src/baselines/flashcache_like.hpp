@@ -8,11 +8,11 @@
 //  * application flush commands are ignored entirely.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
 #include "cache/cache_device.hpp"
+#include "common/lba_map.hpp"
 
 namespace srcache::baselines {
 
@@ -37,7 +37,9 @@ class FlashcacheLike final : public cache::CacheDevice {
 
   SimTime submit(const cache::AppRequest& req) override;
   SimTime flush(SimTime now) override;  // ignored by design
-  [[nodiscard]] const cache::CacheStats& stats() const override { return stats_; }
+  [[nodiscard]] const cache::CacheStats& stats() const override {
+    return stats_;
+  }
   [[nodiscard]] u64 cached_blocks() const override { return map_.size(); }
 
   [[nodiscard]] double dirty_ratio() const {
@@ -69,7 +71,7 @@ class FlashcacheLike final : public cache::CacheDevice {
   BlockDevice* ssd_;
   BlockDevice* primary_;
   std::vector<Slot> slots_;
-  std::unordered_map<u64, u64> map_;  // lba -> slot index
+  common::LbaMap<u64> map_;  // lba -> slot index
   u64 dirty_count_ = 0;
   u64 tick_ = 0;
   u64 md_base_;  // metadata partition start block on the SSD

@@ -133,12 +133,11 @@ double SrcCache::utilization() const {
 }
 
 SrcCache::Residence SrcCache::residence(u64 lba) const {
-  auto it = map_.find(lba);
-  if (it == map_.end()) return Residence::kAbsent;
-  const MapEntry& e = it->second;
-  if (e.buffered())
-    return e.dirty() ? Residence::kDirtyBuffer : Residence::kCleanBuffer;
-  return e.dirty() ? Residence::kCachedDirty : Residence::kCachedClean;
+  const MapEntry* e = map_.find(lba);
+  if (e == nullptr) return Residence::kAbsent;
+  if (e->buffered())
+    return e->dirty() ? Residence::kDirtyBuffer : Residence::kCleanBuffer;
+  return e->dirty() ? Residence::kCachedDirty : Residence::kCachedClean;
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -226,21 +225,21 @@ void SrcCache::register_metrics(const obs::Scope& scope) {
   // Segment-buffer occupancy (staged blocks and fill fraction): sampled over
   // time this shows the stage-seal-flush rhythm behind the flush plateaus.
   scope.gauge_fn("dirty_buffer_blocks", [this] {
-    return static_cast<double>(dirty_buf_.lbas.size());
+    return static_cast<double>(dirty_buf_.pending());
   });
   scope.gauge_fn("clean_buffer_blocks", [this] {
-    return static_cast<double>(clean_buf_.lbas.size());
+    return static_cast<double>(clean_buf_.pending());
   });
   scope.gauge_fn("dirty_buffer_frac", [this] {
     const u64 cap = buffer_capacity(/*dirty_type=*/true);
     return cap == 0 ? 0.0
-                    : static_cast<double>(dirty_buf_.lbas.size()) /
+                    : static_cast<double>(dirty_buf_.pending()) /
                           static_cast<double>(cap);
   });
   scope.gauge_fn("clean_buffer_frac", [this] {
     const u64 cap = buffer_capacity(/*dirty_type=*/false);
     return cap == 0 ? 0.0
-                    : static_cast<double>(clean_buf_.lbas.size()) /
+                    : static_cast<double>(clean_buf_.pending()) /
                           static_cast<double>(cap);
   });
   // Policy tallies (src/policy). The lambdas read through the unique_ptrs
@@ -344,8 +343,7 @@ void SrcCache::set_tenant_quotas(const std::vector<u64>& quotas) {
 
 // --- bookkeeping ------------------------------------------------------------
 
-void SrcCache::invalidate_slot(u64 lba, const MapEntry& e) {
-  (void)lba;
+void SrcCache::invalidate_slot(const MapEntry& e) {
   if (e.buffered()) {
     SegBuffer& buf = e.dirty() ? dirty_buf_ : clean_buf_;
     buf.lbas[e.slot] = kDeadSlot;
@@ -372,7 +370,7 @@ SimTime SrcCache::submit(const cache::AppRequest& req) {
 void SrcCache::maybe_timeout_partial(SimTime now) {
   // Partial-segment timeout (§4.1): if no write arrived for TWAIT and dirty
   // data is buffered, seal what we have to bound the loss window.
-  if (dirty_buf_.lbas.empty()) return;
+  if (dirty_buf_.pending() == 0) return;
   if (now - last_dirty_stage_ <= cfg_.twait) return;
   seal_buffer(now, /*dirty_type=*/true, /*force_partial=*/true);
 }
@@ -396,70 +394,62 @@ SimTime SrcCache::throttle(SimTime now, SimTime ack) {
 
 void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
                            obs::WriteCause cause) {
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
-    MapEntry& e = it->second;
-    if (e.tenant != tenant) {  // ownership follows the last writer
-      tenants_[e.tenant].live_blocks--;
+  auto [e, admitted] = map_.try_emplace(lba);
+  if (admitted) {
+    e->tenant = tenant;
+    e->flags = kFlagDirty;
+    tenants_[tenant].live_blocks++;
+    eviction_->on_admit(lba);
+  } else {
+    if (e->tenant != tenant) {  // ownership follows the last writer
+      tenants_[e->tenant].live_blocks--;
       tenants_[tenant].live_blocks++;
     }
-    if (e.buffered() && e.dirty()) {
-      dirty_buf_.tags[e.slot] = tag;  // overwrite in place
-      dirty_buf_.tenants[e.slot] = tenant;
-      dirty_buf_.causes[e.slot] = static_cast<u8>(cause);
-      e.tenant = tenant;
-      e.flags |= kFlagHot;
-      if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
+    eviction_->on_access(lba);
+    if (e->buffered() && e->dirty()) {
+      dirty_buf_.tags[e->slot] = tag;  // overwrite in place
+      dirty_buf_.tenants[e->slot] = tenant;
+      dirty_buf_.causes[e->slot] = static_cast<u8>(cause);
+      e->tenant = tenant;
+      e->flags |= kFlagHot;
       return;
     }
-    invalidate_slot(lba, e);
-    e.sg = kBufferSg;
-    e.seg = 0;
-    e.slot = static_cast<u32>(dirty_buf_.lbas.size());
-    e.tenant = tenant;
-    e.flags = kFlagDirty | kFlagHot;  // a rewrite makes the block hot
-    if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
-  } else {
-    MapEntry e;
-    e.sg = kBufferSg;
-    e.slot = static_cast<u32>(dirty_buf_.lbas.size());
-    e.tenant = tenant;
-    e.flags = kFlagDirty;
-    map_.emplace(lba, e);
-    tenants_[tenant].live_blocks++;
-    // GC rewrites keep their policy entry (the block never left the cache);
-    // everything else is a (re)admission.
-    if (cause != WriteCause::kGcRewrite) eviction_->on_admit(lba);
+    invalidate_slot(*e);
+    e->tenant = tenant;
+    e->flags = kFlagDirty | kFlagHot;  // a rewrite makes the block hot
   }
-  dirty_buf_.lbas.push_back(lba);
-  dirty_buf_.tags.push_back(tag);
-  dirty_buf_.tenants.push_back(tenant);
-  dirty_buf_.causes.push_back(static_cast<u8>(cause));
-  dirty_buf_.live++;
+  e->sg = kBufferSg;
+  e->seg = 0;
+  e->slot = static_cast<u32>(dirty_buf_.lbas.size());
+  dirty_buf_.push(lba, tag, tenant, cause);
   last_dirty_stage_ = now;
 }
 
-void SrcCache::stage_clean(u64 lba, u64 tag, u16 tenant, SimTime now,
+void SrcCache::stage_clean(u64 lba, u64 tag, u16 tenant,
                            obs::WriteCause cause) {
-  (void)now;
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
-    // Raced with a write or a duplicate fetch; the cached copy wins.
-    return;
-  }
-  MapEntry e;
-  e.sg = kBufferSg;
-  e.slot = static_cast<u32>(clean_buf_.lbas.size());
-  e.tenant = tenant;
-  e.flags = 0;
-  map_.emplace(lba, e);
+  auto [e, admitted] = map_.try_emplace(lba);
+  // Raced with a write or a duplicate fetch; the cached copy wins.
+  if (!admitted) return;
+  e->sg = kBufferSg;
+  e->slot = static_cast<u32>(clean_buf_.lbas.size());
+  e->tenant = tenant;
   tenants_[tenant].live_blocks++;
-  if (cause != WriteCause::kGcRewrite) eviction_->on_admit(lba);
-  clean_buf_.lbas.push_back(lba);
-  clean_buf_.tags.push_back(tag);
-  clean_buf_.tenants.push_back(tenant);
-  clean_buf_.causes.push_back(static_cast<u8>(cause));
-  clean_buf_.live++;
+  eviction_->on_admit(lba);
+  clean_buf_.push(lba, tag, tenant, cause);
+}
+
+void SrcCache::stage_copy(u64 lba, u64 tag, u16 tenant, bool dirty,
+                          SimTime now) {
+  // The block never left the cache: no policy call, and the caller settles
+  // the tenant's occupancy once the whole victim is drained.
+  SegBuffer& buf = dirty ? dirty_buf_ : clean_buf_;
+  MapEntry& e = map_.at(lba);
+  e.sg = kBufferSg;
+  e.seg = 0;
+  e.slot = static_cast<u32>(buf.lbas.size());
+  e.flags = dirty ? kFlagDirty : 0;  // second chance spent: cold
+  buf.push(lba, tag, tenant, WriteCause::kGcRewrite);
+  if (dirty) last_dirty_stage_ = now;
 }
 
 SimTime SrcCache::drain_buffers(SimTime now) {
@@ -545,14 +535,14 @@ SimTime SrcCache::tier_destage(SimTime now, std::span<const u64> lbas,
 
 SimTime SrcCache::tier_demote(SimTime now, u64 lba, u64 tag, u16 tenant) {
   if (crashed_) return now;
-  stage_clean(lba, tag, norm_tenant(tenant), now, WriteCause::kTierDemote);
+  stage_clean(lba, tag, norm_tenant(tenant), WriteCause::kTierDemote);
   drain_buffers(now);
   return throttle(now, now + kStageCost);
 }
 
 bool SrcCache::hot_hint(u64 lba) const {
-  const auto it = map_.find(lba);
-  return it != map_.end() && it->second.hot();
+  const MapEntry* e = map_.find(lba);
+  return e != nullptr && e->hot();
 }
 
 // --- segment sealing --------------------------------------------------------
@@ -576,18 +566,32 @@ SimTime SrcCache::seal_buffer(SimTime now, bool dirty_type,
   SimTime done = now;
   // Drain full segments; GC triggered by SG allocation below may append
   // further entries, which this loop absorbs.
-  while (buf.lbas.size() >= cap)
+  while (buf.pending() >= cap)
     done = std::max(done, write_one_segment(now, dirty_type, cap));
-  if (force_partial && !buf.lbas.empty())
-    done = std::max(done, write_one_segment(now, dirty_type, buf.lbas.size()));
+  if (force_partial && buf.pending() > 0)
+    done = std::max(done, write_one_segment(now, dirty_type, buf.pending()));
   return done;
+}
+
+void SrcCache::trim_sealed_prefix(SegBuffer& buf) {
+  if (buf.head < buf.pending()) return;
+  const auto cut = [&buf](auto& v) {
+    v.erase(v.begin(), v.begin() + buf.head);
+  };
+  cut(buf.lbas);
+  cut(buf.tags);
+  cut(buf.tenants);
+  cut(buf.causes);
+  buf.head = 0;
+  for (u32 i = 0; i < buf.lbas.size(); ++i)
+    if (buf.lbas[i] != kDeadSlot) map_.at(buf.lbas[i]).slot = i;
 }
 
 SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   if (crashed_) return now;  // power is off
   SegBuffer& buf = dirty_type ? dirty_buf_ : clean_buf_;
   const u64 capacity = buffer_capacity(dirty_type);
-  count = std::min<u64>({count, capacity, buf.lbas.size()});
+  count = std::min<u64>({count, capacity, buf.pending()});
   if (count == 0) return now;
 
   // Scheduled power cut (crash-consistency harness): the Nth seal tears at
@@ -599,29 +603,22 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   }
   seal_count_++;
 
-  // Take the front `count` entries by value; re-index what remains so GC
-  // appends (during SG allocation) see a consistent buffer.
-  std::vector<u64> taken_lba(buf.lbas.begin(),
-                             buf.lbas.begin() + static_cast<long>(count));
-  std::vector<u64> taken_tag(buf.tags.begin(),
-                             buf.tags.begin() + static_cast<long>(count));
-  std::vector<u16> taken_tenant(buf.tenants.begin(),
-                                buf.tenants.begin() + static_cast<long>(count));
-  std::vector<u8> taken_cause(buf.causes.begin(),
-                              buf.causes.begin() + static_cast<long>(count));
-  buf.lbas.erase(buf.lbas.begin(), buf.lbas.begin() + static_cast<long>(count));
-  buf.tags.erase(buf.tags.begin(), buf.tags.begin() + static_cast<long>(count));
-  buf.tenants.erase(buf.tenants.begin(),
-                    buf.tenants.begin() + static_cast<long>(count));
-  buf.causes.erase(buf.causes.begin(),
-                   buf.causes.begin() + static_cast<long>(count));
+  // Take the `count` entries at the head by value: GC appends during SG
+  // allocation may reallocate the buffer.
+  const auto take = [&buf, count](const auto& v) {
+    const auto first = v.begin() + buf.head;
+    return std::vector(first, first + static_cast<long>(count));
+  };
+  const std::vector<u64> taken_lba = take(buf.lbas);
+  const std::vector<u64> taken_tag = take(buf.tags);
+  const std::vector<u16> taken_tenant = take(buf.tenants);
+  const std::vector<u8> taken_cause = take(buf.causes);
   u32 taken_live = 0;
   for (u64 lba : taken_lba)
     if (lba != kDeadSlot) ++taken_live;
+  buf.head += static_cast<u32>(count);
   buf.live -= taken_live;
-  for (u32 i = 0; i < buf.lbas.size(); ++i) {
-    if (buf.lbas[i] != kDeadSlot) map_.at(buf.lbas[i]).slot = i;
-  }
+  trim_sealed_prefix(buf);
 
   // Allocating the SG may run GC; by now the taken entries are private and
   // GC can only touch the (re-indexed) buffer tail.
@@ -819,8 +816,8 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
 
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
-    auto it = map_.find(lba);
-    if (it == map_.end()) {
+    MapEntry* hit = map_.find(lba);
+    if (hit == nullptr) {
       stats_.read_miss_blocks++;
       tenants_[tenant].read_miss_blocks++;
       if (!miss_runs.empty() &&
@@ -831,7 +828,7 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
       }
       continue;
     }
-    MapEntry& e = it->second;
+    MapEntry& e = *hit;
     e.flags |= kFlagHot;
     eviction_->on_access(lba);
     stats_.read_hit_blocks++;
@@ -935,7 +932,7 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
       // remembers the lba and admits its next miss.
       for (u32 k = 0; k < cnt; ++k) {
         if (!admission_->admit(lba + k)) continue;
-        stage_clean(lba + k, fetched[k], tenant, now, WriteCause::kMissFill);
+        stage_clean(lba + k, fetched[k], tenant, WriteCause::kMissFill);
       }
     }
   }

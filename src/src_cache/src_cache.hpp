@@ -19,11 +19,11 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
 #include "cache/cache_device.hpp"
+#include "common/lba_map.hpp"
 #include "fault/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -258,6 +258,10 @@ class SrcCache final : public cache::CacheDevice {
     std::vector<u32> live_by_tenant;
   };
 
+  // Staged blocks in arrival order. Entries [0, head) were already sealed;
+  // the prefix is dropped once it outgrows the pending tail, so a seal
+  // never re-indexes the blocks behind it. A buffered MapEntry::slot is an
+  // index into these vectors.
   struct SegBuffer {
     std::vector<u64> lbas;  // kDeadSlot marks an invalidated staged block
     std::vector<u64> tags;
@@ -265,12 +269,22 @@ class SrcCache final : public cache::CacheDevice {
     // Why each staged block exists (obs::WriteCause); rides along to the
     // seal so the flash bytes it turns into are attributed at stage time.
     std::vector<u8> causes;
+    u32 head = 0;
     u32 live = 0;
+    [[nodiscard]] u64 pending() const { return lbas.size() - head; }
+    void push(u64 lba, u64 tag, u16 tenant, obs::WriteCause cause) {
+      lbas.push_back(lba);
+      tags.push_back(tag);
+      tenants.push_back(tenant);
+      causes.push_back(static_cast<u8>(cause));
+      live++;
+    }
     void clear() {
       lbas.clear();
       tags.clear();
       tenants.clear();
       causes.clear();
+      head = 0;
       live = 0;
     }
   };
@@ -305,14 +319,19 @@ class SrcCache final : public cache::CacheDevice {
   // seal_buffer so that GC-induced appends can never re-enter a seal.
   void stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
                    obs::WriteCause cause);
-  void stage_clean(u64 lba, u64 tag, u16 tenant, SimTime now,
-                   obs::WriteCause cause);
+  void stage_clean(u64 lba, u64 tag, u16 tenant, obs::WriteCause cause);
+  // Sel-GC copy-forward: moves the live entry of `lba` (just invalidated
+  // in its victim slot) to the tail of a segment buffer, cold.
+  void stage_copy(u64 lba, u64 tag, u16 tenant, bool dirty, SimTime now);
   // Drains every full segment from the buffer (and, when force_partial, a
   // trailing partial one). GC triggered by SG allocation may append more
   // entries; the drain loop absorbs them.
   SimTime seal_buffer(SimTime now, bool dirty_type, bool force_partial);
   // Writes exactly one segment from the buffer front (count entries).
   SimTime write_one_segment(SimTime now, bool dirty_type, u64 count);
+  // Drops the sealed prefix of `buf` once it is at least as long as the
+  // pending tail, re-indexing the tail's map entries.
+  void trim_sealed_prefix(SegBuffer& buf);
   SimTime drain_buffers(SimTime now);
   u32 allocate_sg(SimTime now);
   SimTime throttle(SimTime now, SimTime ack);
@@ -355,8 +374,7 @@ class SrcCache final : public cache::CacheDevice {
     if (ssds_[dev]->failed()) return true;
     return rebuild_ != nullptr && rebuild_->covers(dev, block);
   }
-  void invalidate_slot(u64 lba, const MapEntry& e);
-  void detach(u64 lba, const MapEntry& e);  // invalidate without erasing map
+  void invalidate_slot(const MapEntry& e);
   SimTime flush_all_ssds(SimTime now);
   [[nodiscard]] u64 buffer_capacity(bool dirty_type) const;
 
@@ -370,7 +388,7 @@ class SrcCache final : public cache::CacheDevice {
   std::unique_ptr<policy::EvictionPolicy> eviction_;
   std::unique_ptr<policy::AdmissionPolicy> admission_;
 
-  std::unordered_map<u64, MapEntry> map_;
+  common::LbaMap<MapEntry> map_;
   std::vector<SgInfo> sgs_;
   std::deque<u32> free_sgs_;
   u32 active_sg_ = kBufferSg;

@@ -89,17 +89,24 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   if (reclaim_span != obs::kNoSpan)
     span_->event(use_s2d ? "src.reclaim_s2d" : "src.reclaim_s2s", now, v);
 
-  struct Move {
+  struct Destage {
     u64 lba;
     u64 tag;
     u16 tenant;
-    bool dirty;
     bool shed;  // destaged to squeeze an over-quota tenant, not for space
   };
-  std::vector<Move> destages;
-  std::vector<Move> copies;
+  std::vector<Destage> destages;
+  // Tenants of the blocks copied forward, one entry per block: their
+  // occupancy stays down while the victim drains (over_quota reads it) and
+  // is restored once every segment is done.
+  std::vector<u16> copied;
 
   const u64 rows = cfg_.slots_per_chunk();
+  std::vector<MapEntry> ents;
+  std::vector<char> need;
+  std::vector<char> keepv;
+  std::vector<u64> tag;
+  std::vector<u64> rbuf;
   for (u32 g = 0; g < sg.next_seg; ++g) {
     SegmentInfo& si = sg.segs[g];
     if (si.type == SegType::kNone) continue;
@@ -114,13 +121,16 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     // flip while loop 2 drains live_blocks, so re-deriving the decision
     // later is not allowed. S2D mode and quota sheds bypass the policy:
     // those are whole-victim decisions, not per-block ones.
-    std::vector<char> need(nslots, 0);
-    std::vector<char> keepv(nslots, 0);
-    std::vector<u64> tag(nslots, 0);
+    // The entries are copied here and used below: nothing between moves
+    // them, and the drain loop then needs only one more probe per block.
+    ents.resize(nslots);
+    need.assign(nslots, 0);
+    keepv.assign(nslots, 0);
+    tag.assign(nslots, 0);
     for (u32 s = 0; s < nslots; ++s) {
       const u64 lba = si.slot_lba[s];
       if (lba == kDeadSlot) continue;
-      const MapEntry& e = map_.at(lba);
+      const MapEntry& e = ents[s] = map_.at(lba);
       // Over-quota tenants' blocks are shed even when hot: the quota
       // squeeze works by attrition through GC, never by bulk eviction.
       bool keep = false;
@@ -140,13 +150,13 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       u32 e = s + 1;
       while (e < nslots && need[e] && e / rows == s / rows) ++e;
       const SlotAddr a = addr_of(v, g, s, si);
-      std::vector<u64> buf(e - s, 0);
+      rbuf.assign(e - s, 0);
       bool slow = false;
       for (u32 k = s; k < e && !slow; ++k)
         slow = dev_dead(a.dev, a.block + (k - s));
       if (!slow) {
         auto r = ssds_[a.dev]->read(now, a.block, e - s,
-                                    std::span<u64>(buf.data(), buf.size()));
+                                    std::span<u64>(rbuf.data(), rbuf.size()));
         if (!r.ok()) {
           slow = true;
         } else {
@@ -154,14 +164,14 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
           if (cfg_.verify_checksums) {
             for (u32 k = s; k < e && !slow; ++k) {
               if (si.slot_lba[k] != kDeadSlot &&
-                  common::crc32c_of(buf[k - s]) != si.slot_crc[k])
+                  common::crc32c_of(rbuf[k - s]) != si.slot_crc[k])
                 slow = true;
             }
           }
         }
       }
       if (!slow) {
-        for (u32 k = s; k < e; ++k) tag[k] = buf[k - s];
+        for (u32 k = s; k < e; ++k) tag[k] = rbuf[k - s];
       } else {
         for (u32 k = s; k < e; ++k) {
           SimTime rt = now;
@@ -177,47 +187,50 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       s = e;
     }
 
+    // S2S copies re-enter the segment buffers cold (second chance), in
+    // victim order. They are staged only; the seal_buffer drain loop that
+    // triggered this reclaim writes them out (staging never re-enters a
+    // seal).
     for (u32 k = 0; k < nslots; ++k) {
       const u64 lba = si.slot_lba[k];
       if (lba == kDeadSlot) continue;
-      const MapEntry e = map_.at(lba);
-      invalidate_slot(lba, e);
-      map_.erase(lba);
+      const MapEntry& e = ents[k];
+      invalidate_slot(e);
       tenants_[e.tenant].live_blocks--;
-      if (need[k] == 2) {
-        if (e.dirty()) extra_.lost_dirty_blocks++;
-        eviction_->on_evict(lba);
+      const bool shed = need[k] != 2 && over_quota(e.tenant);
+      // A squeezed tenant's dirty data is destaged rather than S2S-copied:
+      // safe on primary, and its cache share shrinks. A policy-evicted
+      // dirty block takes the same path — written back once instead of
+      // recopied at every future reclaim.
+      const bool copy = need[k] != 2 && keepv[k] &&
+                        (!e.dirty() || (!use_s2d && !shed));
+      if (copy) {
+        stage_copy(lba, tag[k], e.tenant, e.dirty(), now);
+        copied.push_back(e.tenant);
         continue;
       }
-      const bool shed = over_quota(e.tenant);
-      if (e.dirty()) {
-        // A squeezed tenant's dirty data is destaged rather than S2S-copied:
-        // safe on primary, and its cache share shrinks. A policy-evicted
-        // dirty block takes the same path — written back once instead of
-        // recopied at every future reclaim.
-        if (use_s2d || shed || !keepv[k]) {
-          if (!use_s2d && shed) tenants_[e.tenant].gc_shed_blocks++;
-          destages.push_back({lba, tag[k], e.tenant, true, shed && !use_s2d});
-          eviction_->on_evict(lba);
-        } else {
-          copies.push_back({lba, tag[k], e.tenant, true, false});
-        }
-      } else if (keepv[k]) {
-        copies.push_back({lba, tag[k], e.tenant, false, false});
+      map_.erase(lba);
+      eviction_->on_evict(lba);
+      if (need[k] == 2) {
+        if (e.dirty()) extra_.lost_dirty_blocks++;
+      } else if (e.dirty()) {
+        if (!use_s2d && shed) tenants_[e.tenant].gc_shed_blocks++;
+        destages.push_back({lba, tag[k], e.tenant, shed && !use_s2d});
       } else {
         if (shed && !use_s2d && e.hot()) tenants_[e.tenant].gc_shed_blocks++;
         stats_.dropped_clean_blocks++;
-        eviction_->on_evict(lba);
       }
     }
   }
+  for (u16 tenant : copied) tenants_[tenant].live_blocks++;
+  stats_.gc_copy_blocks += copied.size();
 
   // Destages: contiguous LBA runs become single primary-storage writes,
   // issued as background traffic (the real destager is a worker thread that
   // yields to foreground misses). Their completion times stay on the
   // background lane and must not feed back into SSD-side scheduling.
   std::sort(destages.begin(), destages.end(),
-            [](const Move& a, const Move& b) { return a.lba < b.lba; });
+            [](const Destage& a, const Destage& b) { return a.lba < b.lba; });
   primary_->set_background(true);
   SimTime destaged_at = t;
   const u32 destage_span =
@@ -228,7 +241,8 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   size_t i = 0;
   while (i < destages.size()) {
     size_t j = i + 1;
-    while (j < destages.size() && destages[j].lba == destages[j - 1].lba + 1) ++j;
+    while (j < destages.size() && destages[j].lba == destages[j - 1].lba + 1)
+      ++j;
     wtags.clear();
     for (size_t k = i; k < j; ++k) wtags.push_back(destages[k].tag);
     auto r = primary_->write(t, destages[i].lba, static_cast<u32>(j - i),
@@ -250,19 +264,6 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     span_->end_span(destage_span, destaged_at, destages.size());
   primary_->set_background(false);
 
-  // S2S copies re-enter the segment buffers cold (second chance). They are
-  // staged only; the seal_buffer drain loop that triggered this reclaim
-  // writes them out (staging never re-enters a seal).
-  for (const Move& m : copies) {
-    stats_.gc_copy_blocks++;
-    if (m.dirty) {
-      stage_dirty(m.lba, m.tag, m.tenant, now, WriteCause::kGcRewrite);
-      map_.at(m.lba).flags &= static_cast<u8>(~kFlagHot);
-    } else {
-      stage_clean(m.lba, m.tag, m.tenant, now, WriteCause::kGcRewrite);
-    }
-  }
-
   // The whole SG is dead: TRIM it so the SSDs reclaim the erase groups
   // without copying (the log-structured payoff, §4.1).
   for (auto* d : ssds_) {
@@ -271,7 +272,8 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     if (r.ok()) t = std::max(t, r.done);
   }
   // The whole SG is garbage now: pending rebuild copies into it are stale.
-  if (rebuild_ != nullptr) rebuild_->discard(sg_base_block(v), cfg_.eg_blocks());
+  if (rebuild_ != nullptr)
+    rebuild_->discard(sg_base_block(v), cfg_.eg_blocks());
 
   SgInfo fresh;
   fresh.segs.resize(cfg_.segments_per_sg());

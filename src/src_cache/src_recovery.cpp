@@ -56,7 +56,7 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
     u64 gen;
     u32 sg, seg, slot;
   };
-  std::unordered_map<u64, Winner> best;  // lba -> newest location
+  common::LbaMap<Winner> best;  // lba -> newest location
 
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     SgInfo fresh;
@@ -108,10 +108,9 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
         si.slot_crc[slot] = e.crc;
         si.slot_tenant[slot] = norm_tenant(e.tenant);
         if (e.lba == kDeadSlot) continue;
-        auto it = best.find(e.lba);
-        if (it == best.end() || it->second.gen < si.generation) {
-          best[e.lba] = Winner{si.generation, s, g, slot};
-        }
+        auto [w, first] = best.try_emplace(e.lba);
+        if (first || w->gen < si.generation)
+          *w = Winner{si.generation, s, g, slot};
       }
       gen_seq_ = std::max(gen_seq_, si.generation);
       last_valid = g;
@@ -154,7 +153,7 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
         e.slot = slot;
         e.tenant = si.slot_tenant[slot];
         e.flags = si.type == SegType::kDirty ? kFlagDirty : 0;
-        map_.emplace(lba, e);
+        map_.try_emplace(lba, e);
         eviction_->on_admit(lba);
         si.live++;
         sg.live++;
@@ -175,7 +174,7 @@ void SrcCache::on_ssd_failure(size_t ssd, SimTime now) {
   // refetch on the next miss, dirty ones (RAID-0 only) are lost.
   if (span_ != nullptr) span_->event("src.ssd_failure", now, ssd);
   std::vector<u64> to_drop;
-  for (auto& [lba, e] : map_) {
+  for (const auto& [lba, e] : map_) {
     if (e.buffered()) continue;
     const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
     const SlotAddr a = addr_of(e.sg, e.seg, e.slot, si);
@@ -195,7 +194,7 @@ void SrcCache::on_ssd_failure(size_t ssd, SimTime now) {
     } else {
       extra_.lost_clean_blocks++;
     }
-    invalidate_slot(lba, e);
+    invalidate_slot(e);
     map_.erase(lba);
     tenants_[e.tenant].live_blocks--;
     eviction_->on_evict(lba);
@@ -296,7 +295,7 @@ void SrcCache::on_rebuild_lost(size_t dev,
     } else {
       extra_.lost_clean_blocks++;
     }
-    invalidate_slot(lba, e);
+    invalidate_slot(e);
     map_.erase(lba);
     tenants_[e.tenant].live_blocks--;
     eviction_->on_evict(lba);
@@ -369,13 +368,12 @@ Status SrcCache::verify_consistency() const {
         const u64 lba = si.slot_lba[slot];
         if (lba == kDeadSlot) continue;
         ++seg_live;
-        auto it = map_.find(lba);
-        if (it == map_.end())
+        const MapEntry* e = map_.find(lba);
+        if (e == nullptr)
           return Status(ErrorCode::kCorrupted, "live slot without map entry");
-        const MapEntry& e = it->second;
-        if (e.buffered() || e.sg != s || e.seg != g || e.slot != slot)
+        if (e->buffered() || e->sg != s || e->seg != g || e->slot != slot)
           return Status(ErrorCode::kCorrupted, "map entry does not point back");
-        if (e.dirty() != (si.type == SegType::kDirty))
+        if (e->dirty() != (si.type == SegType::kDirty))
           return Status(ErrorCode::kCorrupted, "dirty flag mismatch");
       }
       if (seg_live != si.live)
@@ -393,9 +391,15 @@ Status SrcCache::verify_consistency() const {
   std::vector<u64> tenant_live(tenants_.size(), 0);
   for (const SegBuffer* buf : {&dirty_buf_, &clean_buf_}) {
     u64 live = 0;
-    for (size_t i = 0; i < buf->lbas.size(); ++i) {
+    for (size_t i = buf->head; i < buf->lbas.size(); ++i) {
       if (buf->lbas[i] == kDeadSlot) continue;
       ++live;
+      const MapEntry* e = map_.find(buf->lbas[i]);
+      if (e == nullptr)
+        return Status(ErrorCode::kCorrupted, "staged block without map entry");
+      if (!e->buffered() || e->slot != i || e->dirty() != (buf == &dirty_buf_))
+        return Status(ErrorCode::kCorrupted,
+                      "buffered map entry does not point back");
       if (buf->tenants[i] >= tenant_live.size())
         return Status(ErrorCode::kCorrupted, "buffered tenant out of range");
       tenant_live[buf->tenants[i]]++;

@@ -42,14 +42,13 @@ u32 TierCache::compressed_size(u8 comp_pct) const {
   return std::max<u32>(1, static_cast<u32>(kBlockSize) * pct / 100);
 }
 
-void TierCache::admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty) {
-  Entry e;
+void TierCache::admit(u64 lba, Entry& e, u64 tag, u16 tenant, u32 csize,
+                      bool dirty) {
   e.tag = tag;
   e.seq = fifo_push(lba);
   e.csize = csize;
   e.tenant = tenant;
   e.dirty = dirty;
-  map_.emplace(lba, e);
   resident_csize_ += csize;
   if (dirty) {
     dirty_csize_ += csize;
@@ -241,10 +240,10 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
     if (incompressible) {
       // An incompressible overwrite of a tier-resident block must not leave
       // a stale compressed copy behind.
-      if (auto it = map_.find(lba); it != map_.end()) {
+      if (Entry* e = map_.find(lba); e != nullptr) {
         eviction_->on_evict(lba);
         tstats_.drop_blocks++;
-        remove_entry(lba, it->second);
+        remove_entry(lba, *e);
       }
       tstats_.bypass_blocks++;
       bypass_lbas.push_back(lba);
@@ -252,8 +251,12 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
       continue;
     }
     cpu += compress_ns_;
-    if (auto it = map_.find(lba); it != map_.end()) {
-      Entry& e = it->second;
+    auto [entry, fresh] = map_.try_emplace(lba);
+    Entry& e = *entry;
+    if (fresh) {
+      stats_.write_new_blocks++;
+      admit(lba, e, tag, static_cast<u16>(req.tenant), csize, /*dirty=*/true);
+    } else {
       stats_.write_hit_blocks++;
       // Subtract-then-add: the deltas are unsigned, so a shrinking
       // overwrite must never form `csize - e.csize` directly.
@@ -273,9 +276,6 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
       e.tenant = static_cast<u16>(req.tenant);
       e.hot = true;
       eviction_->on_access(lba);
-    } else {
-      stats_.write_new_blocks++;
-      admit(lba, tag, static_cast<u16>(req.tenant), csize, /*dirty=*/true);
     }
   }
 
@@ -333,13 +333,12 @@ SimTime TierCache::do_read(const cache::AppRequest& req) {
   u32 k = 0;
   while (k < req.nblocks) {
     const u64 lba = req.lba + k;
-    if (auto it = map_.find(lba); it != map_.end()) {
-      Entry& e = it->second;
+    if (Entry* e = map_.find(lba); e != nullptr) {
       tstats_.hit_blocks++;
       stats_.read_hit_blocks++;
       cpu += decompress_ns_;
-      tags_out[k] = e.tag;
-      e.hot = true;
+      tags_out[k] = e->tag;
+      e->hot = true;
       eviction_->on_access(lba);
       ++k;
       continue;
@@ -381,11 +380,11 @@ SimTime TierCache::do_read(const cache::AppRequest& req) {
       // hot hint (they are already one flash read away).
       const bool promote = below[r] == 2;
       if (below[r] == 1 && src_ != nullptr) continue;
-      if (map_.contains(l)) continue;  // runs can overlap after admits
       stats_.fetch_blocks++;
       if (promote) tstats_.promote_blocks++;
-      admit(l, tags_out[k + r], static_cast<u16>(req.tenant), csize,
-            /*dirty=*/false);
+      // The run was sized on misses and nothing above admitted its blocks.
+      admit(l, *map_.try_emplace(l).first, tags_out[k + r],
+            static_cast<u16>(req.tenant), csize, /*dirty=*/false);
       ++admits;
       cpu += compress_ns_;
     }

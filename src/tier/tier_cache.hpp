@@ -40,10 +40,10 @@
 #include <deque>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_device.hpp"
+#include "common/lba_map.hpp"
 #include "fault/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "policy/policy.hpp"
@@ -196,7 +196,8 @@ class TierCache final : public cache::CacheDevice {
   SimTime do_write(const cache::AppRequest& req);
 
   [[nodiscard]] u32 compressed_size(u8 comp_pct) const;
-  void admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty);
+  // Fills `e`, the fresh map entry of `lba`, as a new resident.
+  void admit(u64 lba, Entry& e, u64 tag, u16 tenant, u32 csize, bool dirty);
   void remove_entry(u64 lba, Entry& e);
   // FIFO bookkeeping: append at the back (returns the new seq), and take a
   // block's slot out (a tombstone unless it is the front).
@@ -217,7 +218,7 @@ class TierCache final : public cache::CacheDevice {
   cache::CacheDevice* inner_;
   src::SrcCache* src_;
 
-  std::unordered_map<u64, Entry> map_;
+  common::LbaMap<Entry> map_;
   // FIFO of resident LBAs, front = oldest; the block with sequence number
   // `seq` sits at fifo_[seq - head_]. A block removed from the middle leaves
   // kTombstone, trimmed once it reaches the front (or compacted away when

@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
+#include "common/lba_map.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -17,6 +20,7 @@ namespace {
 using common::crc32c;
 using common::crc32c_of;
 using common::Histogram;
+using common::LbaMap;
 using common::SplitMix64;
 using common::Table;
 using common::Xoshiro256;
@@ -287,6 +291,141 @@ TEST(Table, ShortRowsPadded) {
   Table t({"a", "b", "c"});
   t.add_row({"1"});
   EXPECT_NE(t.to_string().find("| 1 |"), std::string::npos);
+}
+
+// --- LbaMap -----------------------------------------------------------------
+
+TEST(LbaMap, MatchesUnorderedMapUnderRandomOps) {
+  LbaMap<u64> m;
+  std::unordered_map<u64, u64> ref;
+  Xoshiro256 rng(44);
+  for (int i = 0; i < 200000; ++i) {
+    // A small key space keeps collisions, hits and erase-reinserts common.
+    const u64 key = rng.below(3000) * 7919;
+    const u64 op = rng.below(4);
+    if (op == 0) {
+      const u64 v = rng.next();
+      const auto [p, inserted] = m.try_emplace(key, v);
+      const auto [it, ref_inserted] = ref.try_emplace(key, v);
+      ASSERT_EQ(inserted, ref_inserted);
+      ASSERT_EQ(*p, it->second);
+    } else if (op == 1) {
+      ASSERT_EQ(m.erase(key), ref.erase(key) == 1);
+    } else if (op == 2) {
+      const u64* p = m.find(key);
+      const auto it = ref.find(key);
+      ASSERT_EQ(p != nullptr, it != ref.end());
+      if (p != nullptr) ASSERT_EQ(*p, it->second);
+    } else if (ref.contains(key)) {
+      m.at(key) += 1;
+      ref.at(key) += 1;
+    }
+    ASSERT_EQ(m.size(), ref.size());
+  }
+  for (const auto& [key, value] : ref) EXPECT_EQ(m.at(key), value);
+}
+
+TEST(LbaMap, EraseShiftsBackAcrossTheWrap) {
+  // Keys whose home is the last slot of the minimum table, plus one whose
+  // home is slot 0: the run wraps from slot 15 into slots 0..2.
+  const auto home = [](u64 k) { return (k * 0x9E3779B97F4A7C15ull) >> 60; };
+  std::vector<u64> last;
+  u64 first = LbaMap<u64>::kEmptyKey;
+  for (u64 k = 1; last.size() < 3 || first == LbaMap<u64>::kEmptyKey; ++k) {
+    if (home(k) == 15 && last.size() < 3) last.push_back(k);
+    if (home(k) == 0 && first == LbaMap<u64>::kEmptyKey) first = k;
+  }
+  LbaMap<u64> m;
+  for (u64 k : last) m.try_emplace(k, k + 1);
+  m.try_emplace(first, first + 1);
+  ASSERT_EQ(m.slot_count(), LbaMap<u64>::kMinSlots);
+  // Slot order proves the wrap: slots 0..2 hold last[1], last[2], first.
+  std::vector<u64> order;
+  for (const auto& [k, v] : m) order.push_back(k);
+  ASSERT_EQ(order, (std::vector<u64>{last[1], last[2], first, last[0]}));
+
+  EXPECT_TRUE(m.erase(last[0]));  // slot 15: the whole run shifts back
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(m.find(last[0]), nullptr);
+  for (u64 k : {last[1], last[2], first}) {
+    ASSERT_NE(m.find(k), nullptr) << k;
+    EXPECT_EQ(*m.find(k), k + 1);
+  }
+  order.clear();
+  for (const auto& [k, v] : m) order.push_back(k);
+  EXPECT_EQ(order, (std::vector<u64>{last[2], first, last[1]}));
+  EXPECT_TRUE(m.erase(last[2]));  // slot 0: `first` moves home
+  EXPECT_EQ(*m.find(first), first + 1);
+  EXPECT_EQ(*m.find(last[1]), last[1] + 1);
+  EXPECT_FALSE(m.erase(last[2]));
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(LbaMap, GrowsFromTheMinimumSize) {
+  LbaMap<u64> m;
+  EXPECT_EQ(m.slot_count(), 0u);
+  EXPECT_EQ(m.find(5), nullptr);
+  EXPECT_FALSE(m.erase(5));
+  // 7/8 of 16 slots: 14 entries fit, the 15th doubles the table.
+  for (u64 k = 0; k < 14; ++k) m.try_emplace(k * 4096, k);
+  EXPECT_EQ(m.slot_count(), LbaMap<u64>::kMinSlots);
+  m.try_emplace(14 * 4096, 14);
+  EXPECT_EQ(m.slot_count(), 2 * LbaMap<u64>::kMinSlots);
+  for (u64 k = 0; k < 15; ++k) EXPECT_EQ(m.at(k * 4096), k);
+  for (u64 k = 15; k < 5000; ++k) m[k * 4096] = k;
+  EXPECT_EQ(m.size(), 5000u);
+  EXPECT_LE(m.size() * 8, m.slot_count() * 7);
+  for (u64 k = 0; k < 5000; ++k) EXPECT_EQ(m.at(k * 4096), k);
+  LbaMap<u64> r;
+  r.reserve(5000);
+  const size_t slots = r.slot_count();
+  for (u64 k = 0; k < 5000; ++k) r.try_emplace(k, k);
+  EXPECT_EQ(r.slot_count(), slots);
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.find(7), nullptr);
+  EXPECT_EQ(r.slot_count(), slots);
+}
+
+TEST(LbaMap, IterationVisitsEachKeyOnce) {
+  LbaMap<u64> m;
+  std::map<u64, u64> want;
+  for (u64 k = 0; k < 3000; ++k) {
+    m.try_emplace(k * 13, k);
+    want[k * 13] = k;
+  }
+  for (u64 k = 0; k < 3000; k += 3) {
+    m.erase(k * 13);
+    want.erase(k * 13);
+  }
+  std::map<u64, u64> seen;
+  size_t visits = 0;
+  for (const auto& [k, v] : m) {
+    ++visits;
+    seen[k] = v;
+  }
+  EXPECT_EQ(visits, want.size());
+  EXPECT_EQ(seen, want);
+}
+
+TEST(LbaMap, AtOnAMissingKeyThrows) {
+  LbaMap<u64> m;
+  EXPECT_THROW((void)m.at(1), std::out_of_range);
+  m.try_emplace(1, 10);
+  EXPECT_EQ(m.at(1), 10u);
+  EXPECT_THROW((void)m.at(2), std::out_of_range);
+  const LbaMap<u64>& cm = m;
+  EXPECT_THROW((void)cm.at(2), std::out_of_range);
+}
+
+TEST(LbaMap, RejectsTheEmptySlotKey) {
+  LbaMap<u64> m;
+  EXPECT_THROW(m.try_emplace(LbaMap<u64>::kEmptyKey, 1), std::invalid_argument);
+  m.try_emplace(3, 1);
+  EXPECT_THROW(m[LbaMap<u64>::kEmptyKey], std::invalid_argument);
+  EXPECT_EQ(m.find(LbaMap<u64>::kEmptyKey), nullptr);
+  EXPECT_FALSE(m.contains(LbaMap<u64>::kEmptyKey));
+  EXPECT_EQ(m.size(), 1u);
 }
 
 }  // namespace

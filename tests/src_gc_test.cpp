@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/rng.hpp"
 #include "src_test_util.hpp"
 
@@ -243,6 +245,91 @@ TEST(SrcGc, ReclaimedSgNotWritableBeforeDestageCompletes) {
   // SSD time (the 5 ms/op primary is far slower than the 20 us MemDisks).
   EXPECT_GT(rig.cache->stats().destage_blocks, 0u);
   EXPECT_GT(last_ack, 50 * sim::kMs);
+}
+
+TEST(SrcGc, MultiSegmentCopyForwardKeepsMapBuffersAndTenantsExact) {
+  // One S2S reclaim copies a whole victim SG forward: several segments of
+  // copies staged behind a partly sealed buffer, then sealed one by one.
+  SrcConfig cfg = small_config();
+  cfg.gc = GcPolicy::kSelGc;
+  cfg.umax = 0.95;
+  Rig rig(cfg);
+  const u64 seg = cfg.segment_data_slots(true);
+  const u64 per_sg = cfg.segments_per_sg() * seg;
+  std::map<u64, u64> tag_of;  // last written tag per lba
+  std::map<u64, u16> owner;   // last writer per lba
+  sim::SimTime t = 0;
+  u64 version = 0;
+  const auto write = [&](u64 lba, u16 tenant) {
+    const u64 tag = blockdev::make_tag(lba, ++version);
+    cache::AppRequest r;
+    r.now = t;
+    r.is_write = true;
+    r.lba = lba;
+    r.nblocks = 1;
+    r.tenant = tenant;
+    r.tags = &tag;
+    t = rig.cache->submit(r);
+    tag_of[lba] = tag;
+    owner[lba] = tenant;
+  };
+  // SG A holds lbas [0, per_sg), alternating tenants; overwriting a tenth
+  // of them (as tenant 0) keeps A under the 95% nearly-full cut, so FIFO
+  // reclaims it with S2S copies of every block still live there.
+  const u64 dead = per_sg / 10;
+  for (u64 l = 0; l < per_sg; ++l) write(l, static_cast<u16>(l % 2));
+  for (u64 l = 0; l < dead; ++l) write(l, 0);
+  u64 cold = 100000;
+  while (rig.cache->extra().sg_reclaims == 0) write(cold++, 0);
+  ASSERT_EQ(rig.cache->extra().s2s_reclaims, 1u);
+  const u64 copied = per_sg - dead;
+  ASSERT_GT(copied, 2 * seg);
+  EXPECT_EQ(rig.cache->stats().gc_copy_blocks, copied);
+  ASSERT_TRUE(rig.cache->verify_consistency().is_ok())
+      << rig.cache->verify_consistency().to_string();
+
+  // More seals over the copies: overwrite two segments' worth of them
+  // under the other tenant, then leave a partial segment buffered.
+  for (u64 l = dead; l < dead + 2 * seg; ++l)
+    write(l, static_cast<u16>(1 - l % 2));
+  for (u64 l = per_sg - 3; l < per_sg; ++l) write(l, owner[l]);
+  EXPECT_TRUE(rig.cache->verify_consistency().is_ok())
+      << rig.cache->verify_consistency().to_string();
+
+  // Hand count: no copied block was dropped since, so tenant 1 owns
+  // exactly the copied blocks it wrote last; tenant 0 owns the rest that
+  // is resident (later S2D reclaims destaged some of its blocks).
+  u64 buffered = 0;
+  std::vector<u64> live(2, 0);
+  for (const auto& [lba, tenant] : owner) {
+    const auto where = rig.cache->residence(lba);
+    if (lba >= dead && lba < per_sg)
+      ASSERT_NE(where, SrcCache::Residence::kAbsent) << lba;
+    if (where == SrcCache::Residence::kAbsent) continue;
+    if (where == SrcCache::Residence::kDirtyBuffer) ++buffered;
+    ++live[tenant];
+  }
+  u64 tenant1 = 0;
+  for (u64 l = dead; l < per_sg; ++l) tenant1 += owner[l] == 1 ? 1 : 0;
+  EXPECT_GT(buffered, 0u);
+  EXPECT_EQ(live[1], tenant1);
+  ASSERT_EQ(rig.cache->tenant_count(), 2u);
+  EXPECT_EQ(rig.cache->tenant_stats()[0].live_blocks, live[0]);
+  EXPECT_EQ(rig.cache->tenant_stats()[1].live_blocks, live[1]);
+  EXPECT_EQ(rig.cache->cached_blocks(), live[0] + live[1]);
+  // The later reclaims met only fully live (cold) victims: S2D.
+  EXPECT_EQ(rig.cache->extra().s2s_reclaims, 1u);
+  EXPECT_EQ(rig.cache->stats().gc_copy_blocks, copied);
+
+  // Every block reads back its last-written tag, buffered, sealed or
+  // destaged.
+  for (const auto& [lba, tag] : tag_of) {
+    u64 out = 0;
+    t = rig.read(t, lba, 1, &out);
+    ASSERT_EQ(out, tag) << lba;
+  }
+  EXPECT_TRUE(rig.cache->verify_consistency().is_ok())
+      << rig.cache->verify_consistency().to_string();
 }
 
 }  // namespace
