@@ -50,8 +50,9 @@ int main() {
   // spare pool (not the FTL's fixed open-block minimum) to dominate.
   flash::SsdSpec base = sized_spec(flash::spec_840pro_128(),
                                    32 * Geometry::at(k).erase_group_bytes, k);
-  std::printf("modeled erase group: %llu MiB (paper: 256 MiB at full scale)\n\n",
-              static_cast<unsigned long long>(base.erase_group_bytes() / MiB));
+  std::printf(
+      "modeled erase group: %llu MiB (paper: 256 MiB at full scale)\n\n",
+      static_cast<unsigned long long>(base.erase_group_bytes() / MiB));
 
   std::vector<u64> unit_bytes;
   for (u64 u = 2 * MiB; u <= 4 * base.erase_group_bytes(); u *= 2)

@@ -24,7 +24,8 @@ int main() {
                      workload::TraceGroup::kRead}) {
     std::vector<std::string> row = {workload::to_string(group)};
     for (auto gc : {src::GcPolicy::kS2D, src::GcPolicy::kSelGc}) {
-      for (auto victim : {src::VictimPolicy::kFifo, src::VictimPolicy::kGreedy}) {
+      for (auto victim :
+           {src::VictimPolicy::kFifo, src::VictimPolicy::kGreedy}) {
         src::SrcConfig cfg = default_src_config();
         cfg.gc = gc;
         cfg.victim = victim;

@@ -112,14 +112,15 @@ int main() {
               static_cast<unsigned long long>(ok),
               static_cast<unsigned long long>(n));
 
-  // --- 3. Whole-SSD failure ---------------------------------------------------
+  // --- 3. Whole-SSD failure --------------------------------------------------
   s.ssds[2]->fail();
   s.cache->on_ssd_failure(2, recovered_at + 2 * sim::kSec);
   ok = 0;
   for (u64 i = 0; i < n; ++i)
     if (read_block(*s.cache, i, recovered_at + 2 * sim::kSec) == tags[i]) ++ok;
   std::printf("\n[fail-stop] SSD 2 died; verified %llu/%llu dirty blocks via "
-              "on-the-fly reconstruction (lost dirty: %llu, lost clean: %llu)\n",
+              "on-the-fly reconstruction (lost dirty: %llu, lost clean: "
+              "%llu)\n",
               static_cast<unsigned long long>(ok),
               static_cast<unsigned long long>(n),
               static_cast<unsigned long long>(ex.lost_dirty_blocks),

@@ -75,7 +75,8 @@ void GhostCache::demote_overflow(u32 first_region) {
   // Last region overflowed: drop the global tail.
   List::iterator tail = std::prev(lru_.end());
   const u32 r = tail->region;
-  if (markers_[r] == tail) markers_[r] = count_[r] > 1 ? std::prev(tail) : lru_.end();
+  if (markers_[r] == tail)
+    markers_[r] = count_[r] > 1 ? std::prev(tail) : lru_.end();
   count_[r]--;
   index_.erase(tail->lba);
   lru_.pop_back();

@@ -20,7 +20,8 @@ IoResult MemDisk::transfer(SimTime now, u64 lba, u32 n) {
   if (failed_) return {now, ErrorCode::kDeviceFailed};
   if (lba + n > cfg_.capacity_blocks) return {now, ErrorCode::kInvalidArgument};
   const SimTime service =
-      cfg_.op_latency + sim::transfer_time(blocks_to_bytes(n), cfg_.bandwidth_mbps);
+      cfg_.op_latency +
+      sim::transfer_time(blocks_to_bytes(n), cfg_.bandwidth_mbps);
   return {line_.submit(now, scaled(now, service)), ErrorCode::kOk};
 }
 
@@ -34,7 +35,8 @@ IoResult MemDisk::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
   return r;
 }
 
-IoResult MemDisk::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
+IoResult MemDisk::write(SimTime now, u64 lba, u32 n,
+                        std::span<const u64> tags) {
   IoResult r = transfer(now, lba, n);
   if (!r.ok()) return r;
   media_.on_write(lba, n);
@@ -45,7 +47,8 @@ IoResult MemDisk::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) 
 }
 
 IoResult MemDisk::write_payload(SimTime now, u64 lba, Payload payload) {
-  const u32 n = static_cast<u32>(bytes_to_blocks(payload ? payload->size() : 1));
+  const u32 n =
+      static_cast<u32>(bytes_to_blocks(payload ? payload->size() : 1));
   IoResult r = transfer(now, lba, n == 0 ? 1 : n);
   if (!r.ok()) return r;
   media_.on_write(lba, n == 0 ? 1 : n);

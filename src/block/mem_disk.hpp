@@ -21,10 +21,13 @@ class MemDisk final : public BlockDevice {
  public:
   explicit MemDisk(const MemDiskConfig& cfg);
 
-  [[nodiscard]] u64 capacity_blocks() const override { return cfg_.capacity_blocks; }
+  [[nodiscard]] u64 capacity_blocks() const override {
+    return cfg_.capacity_blocks;
+  }
 
   IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
+  IoResult write(SimTime now, u64 lba, u32 n,
+                 std::span<const u64> tags) override;
   IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
   Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
   IoResult flush(SimTime now) override;

@@ -28,8 +28,9 @@ void Histogram::merge(const Histogram& other) {
 Histogram Histogram::minus(const Histogram& earlier) const {
   Histogram d;
   for (int i = 0; i < kBuckets; ++i) {
-    d.buckets_[i] =
-        buckets_[i] >= earlier.buckets_[i] ? buckets_[i] - earlier.buckets_[i] : 0;
+    d.buckets_[i] = buckets_[i] >= earlier.buckets_[i]
+                        ? buckets_[i] - earlier.buckets_[i]
+                        : 0;
     d.count_ += d.buckets_[i];
   }
   d.sum_ = sum_ >= earlier.sum_ ? sum_ - earlier.sum_ : 0;
@@ -49,7 +50,8 @@ void Histogram::reset() {
 }
 
 double Histogram::mean() const {
-  return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
+  return count_ == 0 ? 0.0
+                     : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
 double Histogram::percentile(double p) const {
@@ -64,8 +66,8 @@ double Histogram::percentile(double p) const {
       // Bucket b holds values in [2^(b-1), 2^b); interpolate linearly.
       const double lo = b == 0 ? 0.0 : static_cast<double>(1ull << (b - 1));
       const double hi = static_cast<double>(b >= 63 ? max_ : (1ull << b));
-      const double frac =
-          (target - static_cast<double>(seen)) / static_cast<double>(buckets_[b]);
+      const double frac = (target - static_cast<double>(seen)) /
+                          static_cast<double>(buckets_[b]);
       return lo + frac * (hi - lo);
     }
     seen = next;

@@ -64,7 +64,8 @@ class Status {
 template <typename T>
 class Result {
  public:
-  Result(T value) : v_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(T value) : v_(std::move(value)) {}
   Result(Status status) : v_(std::move(status)) {  // NOLINT
     if (std::get<Status>(v_).is_ok()) {
       throw std::logic_error("Result constructed from OK status without value");
@@ -75,15 +76,18 @@ class Result {
   explicit operator bool() const { return is_ok(); }
 
   [[nodiscard]] const T& value() const& {
-    if (!is_ok()) throw std::logic_error("Result::value on error: " + status().to_string());
+    if (!is_ok())
+      throw std::logic_error("Result::value on error: " + status().to_string());
     return std::get<T>(v_);
   }
   [[nodiscard]] T& value() & {
-    if (!is_ok()) throw std::logic_error("Result::value on error: " + status().to_string());
+    if (!is_ok())
+      throw std::logic_error("Result::value on error: " + status().to_string());
     return std::get<T>(v_);
   }
   [[nodiscard]] T&& take() && {
-    if (!is_ok()) throw std::logic_error("Result::take on error: " + status().to_string());
+    if (!is_ok())
+      throw std::logic_error("Result::take on error: " + status().to_string());
     return std::get<T>(std::move(v_));
   }
 

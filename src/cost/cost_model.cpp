@@ -19,7 +19,8 @@ CostReport evaluate(const ArrayConfig& array, double throughput_mbps,
   CostReport r;
   r.throughput_mbps = throughput_mbps;
   r.mbps_per_dollar = throughput_mbps / array.total_price();
-  r.lifetime_days = lifetime_days(array, daily_write_bytes, write_amplification);
+  r.lifetime_days =
+      lifetime_days(array, daily_write_bytes, write_amplification);
   r.lifetime_days_per_dollar = r.lifetime_days / array.total_price();
   return r;
 }

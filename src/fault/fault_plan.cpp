@@ -233,7 +233,8 @@ Result<FaultPlan> FaultPlan::parse(const std::string& spec, u64 seed) {
         c.kv.erase(it);
       }
     } else if (c.action == "corrupt" || c.action == "latent") {
-      ev.kind = c.action == "corrupt" ? FaultKind::kCorrupt : FaultKind::kLatent;
+      ev.kind =
+          c.action == "corrupt" ? FaultKind::kCorrupt : FaultKind::kLatent;
       if (Status s = take_dev(); !s.is_ok()) return s;
       if (Status s = take_range(); !s.is_ok()) return s;
       if (auto it = c.kv.find("count"); it != c.kv.end()) {

@@ -33,11 +33,14 @@ IoResult SimSsd::check(SimTime now, u64 lba, u64 n) const {
 SimTime SimSsd::charge_nand(SimTime start, const NandOps& ops) {
   SimTime done = start;
   if (ops.gc_reads > 0)
-    done = std::max(done, nand_.submit_batch(start, ops.gc_reads, spec_.read_latency));
+    done = std::max(
+        done, nand_.submit_batch(start, ops.gc_reads, spec_.read_latency));
   if (ops.programs > 0)
-    done = std::max(done, nand_.submit_batch(start, ops.programs, spec_.program_latency));
+    done = std::max(
+        done, nand_.submit_batch(start, ops.programs, spec_.program_latency));
   if (ops.erases > 0)
-    done = std::max(done, nand_.submit_batch(start, ops.erases, spec_.erase_latency));
+    done = std::max(
+        done, nand_.submit_batch(start, ops.erases, spec_.erase_latency));
   return done;
 }
 
@@ -48,7 +51,8 @@ SimTime SimSsd::admit_to_buffer(SimTime ready, u64 bytes, SimTime nand_done) {
     pending_.pop_front();
   }
   // If the buffer cannot hold this write, stall until enough drains.
-  while (pending_bytes_ + bytes > spec_.write_buffer_bytes && !pending_.empty()) {
+  while (pending_bytes_ + bytes > spec_.write_buffer_bytes &&
+         !pending_.empty()) {
     ready = std::max(ready, pending_.front().first);
     pending_bytes_ -= pending_.front().second;
     pending_.pop_front();

@@ -40,12 +40,15 @@ class SimSsd final : public BlockDevice {
   // runs (reads then report tag 0).
   explicit SimSsd(const SsdSpec& spec, bool track_content = true);
 
-  [[nodiscard]] u64 capacity_blocks() const override { return exported_blocks_; }
+  [[nodiscard]] u64 capacity_blocks() const override {
+    return exported_blocks_;
+  }
   [[nodiscard]] const SsdSpec& spec() const { return spec_; }
   [[nodiscard]] const Ftl& ftl() const { return ftl_; }
 
   IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
+  IoResult write(SimTime now, u64 lba, u32 n,
+                 std::span<const u64> tags) override;
   IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
   Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
   IoResult flush(SimTime now) override;

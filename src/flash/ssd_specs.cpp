@@ -10,7 +10,8 @@ SsdSpec SsdSpec::scaled(double factor) const {
       static_cast<u64>(static_cast<double>(capacity_bytes) * factor),
       static_cast<u64>(units) * pages_per_block * kBlockSize * 4);
   s.write_buffer_bytes = std::max<u64>(
-      static_cast<u64>(static_cast<double>(write_buffer_bytes) * factor), 8 * MiB);
+      static_cast<u64>(static_cast<double>(write_buffer_bytes) * factor),
+      8 * MiB);
   return s;
 }
 

@@ -12,7 +12,8 @@ IscsiTarget::IscsiTarget(const IscsiConfig& cfg) : cfg_(cfg) {
   for (auto& d : disks_) members.push_back(d.get());
   raid::RaidConfig rc{raid::RaidLevel::kRaid1, cfg_.chunk_blocks};
   volume_ = std::make_unique<raid::RaidDevice>(rc, std::move(members));
-  gen_capacity_blocks_ = std::max<u64>(1, cfg_.server_cache_bytes / kBlockSize / 2);
+  gen_capacity_blocks_ =
+      std::max<u64>(1, cfg_.server_cache_bytes / kBlockSize / 2);
 }
 
 u64 IscsiTarget::capacity_blocks() const { return volume_->capacity_blocks(); }
@@ -107,8 +108,8 @@ blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
       (void)cache_lookup(lba + i, &tag);  // resident: checked just above
       if (!tags_out.empty()) tags_out[i] = tag;
     }
-    const SimTime done = link_transfer(now + half_rtt(now), blocks_to_bytes(n)) +
-                         half_rtt(now);
+    const SimTime done =
+        link_transfer(now + half_rtt(now), blocks_to_bytes(n)) + half_rtt(now);
     if (span_ != nullptr)
       span_->end_span(span_->begin_span("hdd.read_ram", now), done, n);
     return {done, ErrorCode::kOk};
@@ -118,7 +119,8 @@ blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
   if (!r.ok()) return r;
   for (u32 i = 0; i < n; ++i)
     cache_insert(lba + i, tags_out.empty() ? 0 : tags_out[i]);
-  const SimTime done = link_transfer(r.done, blocks_to_bytes(n)) + half_rtt(now);
+  const SimTime done =
+      link_transfer(r.done, blocks_to_bytes(n)) + half_rtt(now);
   if (span_ != nullptr)
     span_->end_span(span_->begin_span("hdd.read_disk", now), done, n);
   return {done, ErrorCode::kOk};

@@ -32,7 +32,8 @@ class SimHdd final : public BlockDevice {
   [[nodiscard]] u64 capacity_blocks() const override { return blocks_; }
 
   IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
+  IoResult write(SimTime now, u64 lba, u32 n,
+                 std::span<const u64> tags) override;
   IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
   Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
   IoResult flush(SimTime now) override;

@@ -184,7 +184,9 @@ class Parser {
     switch (s_[pos_]) {
       case '{': return parse_object(out, depth);
       case '[': return parse_array(out, depth);
-      case '"': out.type = JsonValue::Type::kString; return parse_string(out.string);
+      case '"':
+        out.type = JsonValue::Type::kString;
+        return parse_string(out.string);
       case 't':
       case 'f': return parse_literal(out);
       case 'n': return parse_literal(out);
@@ -257,10 +259,14 @@ class Parser {
           for (int i = 0; i < 4; ++i) {
             char h = s_[pos_++];
             cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-            else return err("bad \\u escape");
+            if (h >= '0' && h <= '9')
+              cp |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+              cp |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+              cp |= static_cast<unsigned>(h - 'A' + 10);
+            else
+              return err("bad \\u escape");
           }
           // UTF-8 encode the BMP code point (surrogate pairs not needed for
           // the ASCII-only strings we emit, but escape round-trips fine).
@@ -308,27 +314,37 @@ class Parser {
   Status parse_number(JsonValue& out) {
     const size_t start = pos_;
     if (consume('-')) {}
-    if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_])))
+    if (pos_ >= s_.size() ||
+        !std::isdigit(static_cast<unsigned char>(s_[pos_])))
       return err("bad number");
     // Leading zero must not be followed by another digit.
     if (s_[pos_] == '0' && pos_ + 1 < s_.size() &&
         std::isdigit(static_cast<unsigned char>(s_[pos_ + 1])))
       return err("leading zero");
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+    while (pos_ < s_.size() &&
+           std::isdigit(static_cast<unsigned char>(s_[pos_])))
+      ++pos_;
     if (consume('.')) {
-      if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_])))
+      if (pos_ >= s_.size() ||
+          !std::isdigit(static_cast<unsigned char>(s_[pos_])))
         return err("bad fraction");
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+      while (pos_ < s_.size() &&
+             std::isdigit(static_cast<unsigned char>(s_[pos_])))
+        ++pos_;
     }
     if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_])))
+      if (pos_ >= s_.size() ||
+          !std::isdigit(static_cast<unsigned char>(s_[pos_])))
         return err("bad exponent");
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+      while (pos_ < s_.size() &&
+             std::isdigit(static_cast<unsigned char>(s_[pos_])))
+        ++pos_;
     }
     out.type = JsonValue::Type::kNumber;
-    out.number = std::strtod(std::string(s_.substr(start, pos_ - start)).c_str(), nullptr);
+    out.number = std::strtod(
+        std::string(s_.substr(start, pos_ - start)).c_str(), nullptr);
     return Status::ok();
   }
 

@@ -197,7 +197,9 @@ class BandwidthPipe {
   }
 
   [[nodiscard]] double mbps() const { return mbps_; }
-  [[nodiscard]] SimTime backlog(SimTime now) const { return line_.backlog(now); }
+  [[nodiscard]] SimTime backlog(SimTime now) const {
+    return line_.backlog(now);
+  }
   [[nodiscard]] SimTime busy_time() const { return line_.busy_time(); }
   void reset() { line_.reset(); }
 

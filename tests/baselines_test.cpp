@@ -48,7 +48,8 @@ BcacheConfig bc_cfg(u64 cache_blocks = 8192) {
   return cfg;
 }
 
-AppRequest wreq(sim::SimTime now, u64 lba, u32 n = 1, const u64* tags = nullptr) {
+AppRequest wreq(sim::SimTime now, u64 lba, u32 n = 1,
+                const u64* tags = nullptr) {
   AppRequest r;
   r.now = now;
   r.is_write = true;
@@ -67,7 +68,7 @@ AppRequest rreq(sim::SimTime now, u64 lba, u32 n = 1, u64* out = nullptr) {
   return r;
 }
 
-// --- Flashcache ------------------------------------------------------------------
+// --- Flashcache --------------------------------------------------------------
 
 TEST(Flashcache, RejectsEmpty) {
   Rig rig;
@@ -176,7 +177,7 @@ TEST(Flashcache, SetConflictEvictsWithinSet) {
   EXPECT_GT(fc.stats().dropped_clean_blocks, 0u);
 }
 
-// --- Bcache ----------------------------------------------------------------------
+// --- Bcache ------------------------------------------------------------------
 
 TEST(Bcache, WriteThenReadHits) {
   Rig rig;
@@ -193,7 +194,8 @@ TEST(Bcache, JournalFlushOnEveryCommit) {
   Rig rig;
   BcacheLike bc(bc_cfg(), rig.ssd.get(), rig.primary.get());
   sim::SimTime t = 0;
-  for (int i = 0; i < 10; ++i) t = bc.submit(wreq(t, static_cast<u64>(i) * 1000));
+  for (int i = 0; i < 10; ++i)
+    t = bc.submit(wreq(t, static_cast<u64>(i) * 1000));
   EXPECT_GT(rig.ssd->stats().flushes, 0u);
 }
 
@@ -285,7 +287,7 @@ TEST(Bcache, WriteThroughGoesToPrimary) {
   EXPECT_EQ(bc.dirty_ratio(), 0.0);
 }
 
-// --- shared write-back property: WB beats WT on a slow primary (Table 2) ----------
+// --- shared write-back property: WB beats WT on a slow primary (Table 2) -----
 
 template <typename Cache, typename Config>
 double measure_write_mbps(Config cfg, bool write_back) {

@@ -10,7 +10,7 @@
 namespace srcache::sim {
 namespace {
 
-// --- time helpers -------------------------------------------------------------
+// --- time helpers ------------------------------------------------------------
 
 TEST(SimTimeUnits, Constants) {
   EXPECT_EQ(kUs, 1000);
@@ -36,7 +36,7 @@ TEST(SimTimeUnits, TransferTime) {
   EXPECT_EQ(transfer_time(123, 0.0), 0);
 }
 
-// --- ServiceTimeline -----------------------------------------------------------
+// --- ServiceTimeline ---------------------------------------------------------
 
 TEST(ServiceTimeline, IdleStartsImmediately) {
   ServiceTimeline t;
@@ -72,7 +72,7 @@ TEST(ServiceTimeline, Reset) {
   EXPECT_EQ(t.busy_time(), 0);
 }
 
-// --- MultiServer ----------------------------------------------------------------
+// --- MultiServer -------------------------------------------------------------
 
 TEST(MultiServer, ParallelUnitsOverlap) {
   MultiServer m(4);
@@ -200,7 +200,7 @@ TEST(MultiServer, ThroughputScalesWithUnits) {
   }
 }
 
-// --- PriorityTimeline ----------------------------------------------------------
+// --- PriorityTimeline --------------------------------------------------------
 
 TEST(PriorityTimeline, ForegroundIgnoresBackgroundBacklog) {
   PriorityTimeline t;
@@ -252,7 +252,7 @@ TEST(PriorityTimeline, ResetClears) {
   EXPECT_EQ(t.submit_fg(0, 5), 5);
 }
 
-// --- BandwidthPipe -----------------------------------------------------------------
+// --- BandwidthPipe -----------------------------------------------------------
 
 TEST(BandwidthPipe, TransfersAtRate) {
   BandwidthPipe p(100.0);  // 100 MB/s

@@ -379,7 +379,8 @@ void print_tenants(const Doc& doc) {
     const JsonValue* tenants = run.json->find("tenants");
     if (tenants == nullptr || !tenants->is_array()) continue;
     const JsonValue* adapt = run.json->find("adapt");
-    const double epochs = adapt == nullptr ? 0.0 : adapt->number_or("epochs", 0.0);
+    const double epochs =
+        adapt == nullptr ? 0.0 : adapt->number_or("epochs", 0.0);
     const double rebal =
         adapt == nullptr ? 0.0 : adapt->number_or("rebalances", 0.0);
     for (const JsonValue& tn : tenants->array) {
@@ -412,7 +413,8 @@ int print_slo(const Doc& doc) {
     if (slo == nullptr) continue;
     const bool bad = slo->number_or("breached", 0.0) != 0.0;
     if (bad) ++breached;
-    t.add_row({run.bench, run.name, Table::num(slo->number_or("epochs", 0.0), 0),
+    t.add_row({run.bench, run.name,
+               Table::num(slo->number_or("epochs", 0.0), 0),
                Table::num(slo->number_or("violations", 0.0), 0),
                Table::num(slo->number_or("degraded_epochs", 0.0), 0),
                Table::num(slo->number_or("burn_rate", 0.0), 2),
