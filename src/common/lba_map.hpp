@@ -40,7 +40,6 @@ class LbaMap {
       skip();
     }
     const Slot& operator*() const { return *p_; }
-    const Slot* operator->() const { return p_; }
     const_iterator& operator++() {
       ++p_;
       skip();
@@ -57,20 +56,12 @@ class LbaMap {
   };
 
   [[nodiscard]] size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] size_t slot_count() const { return slots_.size(); }
 
   // Empties the table and keeps its slots.
   void clear() {
     for (Slot& s : slots_) s = Slot{};
     size_ = 0;
-  }
-
-  // Grows the slot array so `n` entries fit without a later rehash.
-  void reserve(size_t n) {
-    size_t cap = kMinSlots;
-    while (n * 8 > cap * 7) cap *= 2;
-    if (cap > slots_.size()) rehash(cap);
   }
 
   [[nodiscard]] V* find(u64 key) {

@@ -259,9 +259,9 @@ class SrcCache final : public cache::CacheDevice {
   };
 
   // Staged blocks in arrival order. Entries [0, head) were already sealed;
-  // the prefix is dropped once it outgrows the pending tail, so a seal
-  // never re-indexes the blocks behind it. A buffered MapEntry::slot is an
-  // index into these vectors.
+  // the prefix is dropped only once it is as long as the pending tail, so
+  // a seal rarely re-indexes the blocks behind it. A buffered
+  // MapEntry::slot is an index into these vectors.
   struct SegBuffer {
     std::vector<u64> lbas;  // kDeadSlot marks an invalidated staged block
     std::vector<u64> tags;

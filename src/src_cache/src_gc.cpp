@@ -197,7 +197,7 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       const MapEntry& e = ents[k];
       invalidate_slot(e);
       tenants_[e.tenant].live_blocks--;
-      const bool shed = need[k] != 2 && over_quota(e.tenant);
+      const bool shed = over_quota(e.tenant);
       // A squeezed tenant's dirty data is destaged rather than S2S-copied:
       // safe on primary, and its cache share shrinks. A policy-evicted
       // dirty block takes the same path — written back once instead of

@@ -303,8 +303,9 @@ TEST(SrcGc, MultiSegmentCopyForwardKeepsMapBuffersAndTenantsExact) {
   std::vector<u64> live(2, 0);
   for (const auto& [lba, tenant] : owner) {
     const auto where = rig.cache->residence(lba);
-    if (lba >= dead && lba < per_sg)
+    if (lba >= dead && lba < per_sg) {
       ASSERT_NE(where, SrcCache::Residence::kAbsent) << lba;
+    }
     if (where == SrcCache::Residence::kAbsent) continue;
     if (where == SrcCache::Residence::kDirtyBuffer) ++buffered;
     ++live[tenant];
